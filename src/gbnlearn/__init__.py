@@ -16,9 +16,8 @@ from .dag import (
     random_er_dag,
     random_tree_dag,
     remove_random_edges,
-    topological_order,
 )
-from .datagen import ContaminationSpec, NoiseLaw, agnostic_pair, contaminated_sample
+from .datagen import ContaminationSpec, NoiseLaw, contaminated_sample
 from .errors import GbnError
 from .estimators import FitConfig, empirical_mle, fit, fit_detailed, mad_variance, variance_recovery
 from .gbn import (
@@ -44,7 +43,6 @@ __all__ = [
     "NoiseLaw",
     "GbnError",
     "build_dag",
-    "topological_order",
     "is_polytree",
     "random_tree_dag",
     "random_er_dag",
@@ -62,7 +60,6 @@ __all__ = [
     "variance_recovery",
     "mad_variance",
     "contaminated_sample",
-    "agnostic_pair",
     "bench",
     "cli",
     "dag",

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +43,6 @@ class Dag:
     n: int
     parents: tuple[tuple[int, ...], ...]
     order: tuple[int, ...]
-    labels: tuple[str, ...] | None = field(default=None, compare=False)
 
     @property
     def num_edges(self) -> int:
@@ -67,7 +66,7 @@ class Dag:
         return out
 
 
-def build_dag(n: int, edges, labels=None) -> Dag:
+def build_dag(n: int, edges) -> Dag:
     """Construct a validated :class:`Dag` from ``(parent, child)`` pairs.
 
     Raises InvalidParameter for a non-positive node count, InvalidIndex /
@@ -88,12 +87,7 @@ def build_dag(n: int, edges, labels=None) -> Dag:
             raise DuplicateEdge(f"edge ({j}, {i}) listed twice")
         parent_sets[i].add(j)
     parents = tuple(tuple(sorted(s)) for s in parent_sets)
-    order = _topological_order(n, parents)
-    if labels is not None:
-        labels = tuple(str(s) for s in labels)
-        if len(labels) != n:
-            raise InvalidParameter("labels must have one entry per node")
-    return Dag(n=n, parents=parents, order=order, labels=labels)
+    return Dag(n=n, parents=parents, order=_topological_order(n, parents))
 
 
 def _topological_order(n: int, parents) -> tuple[int, ...]:
@@ -117,11 +111,6 @@ def _topological_order(n: int, parents) -> tuple[int, ...]:
     if len(order) != n:
         raise CycleDetected("edge set contains a directed cycle")
     return tuple(order)
-
-
-def topological_order(dag: Dag) -> tuple[int, ...]:
-    """Topological order of ``dag`` (cached at construction)."""
-    return dag.order
 
 
 def is_polytree(dag: Dag) -> bool:
@@ -221,7 +210,7 @@ def remove_random_edges(dag: Dag, k: int, rng: np.random.Generator) -> Dag:
         return dag
     drop = set(int(i) for i in rng.choice(len(edges), size=k, replace=False))
     kept = [e for idx, e in enumerate(edges) if idx not in drop]
-    return build_dag(dag.n, kept, labels=dag.labels)
+    return build_dag(dag.n, kept)
 
 
 def write_dag_file(dag: Dag, path) -> None:

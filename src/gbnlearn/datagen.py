@@ -1,11 +1,10 @@
-"""Adversarial and misspecified data scenarios for the benchmark.
+"""Contaminated data for the benchmark.
 
 Contaminated sampling replaces the structural noise draw at chosen
 (row, node) cells with draws from a gross-error law centered far from
 the data scale; the corruption then propagates to descendants through
 the structural equations, exactly as if the corrupted value had been
-observed. The agnostic scenario fits against a DAG that is missing
-edges the truth actually uses.
+observed.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gbn
-from .dag import Dag, remove_random_edges
 from .errors import InvalidSpec
 
 _LAW_KINDS = ("gaussian", "cauchy")
@@ -119,12 +117,3 @@ def contaminated_sample(model: gbn.GaussianBayesNet, m: int, spec: Contamination
         model, m, rng, rows, node_set, lambda size: spec.noise_law.draw(contam_rng, size)
     )
 
-
-def agnostic_pair(truth_dag: Dag, remove_edges: int, rng: np.random.Generator):
-    """(truth_dag, fit_dag) where fit_dag lacks ``remove_edges`` random edges.
-
-    Data is generated from a model on ``truth_dag`` while estimation runs
-    on the thinner ``fit_dag``, so the fitted family cannot represent the
-    truth exactly and evaluation must compare joint covariances.
-    """
-    return truth_dag, remove_random_edges(truth_dag, remove_edges, rng)

@@ -69,15 +69,13 @@ class FitConfig:
     ``batch_extra`` is the number of rows beyond the parent count in each
     batch for the batch_* methods (ignored elsewhere). ``split_fraction``
     sets the share of rows used for coefficients; the rest recover
-    variances on disjoint rows. ``seed`` is reserved for randomized
-    partitioning schemes; the current partitions are deterministic.
+    variances on disjoint rows.
     """
 
     method: str
     batch_extra: int = 20
     split_fraction: float = 0.5
     variance_method: str = "empirical"
-    seed: int = 0
 
     def __post_init__(self):
         if self.method not in METHODS:

@@ -280,27 +280,27 @@ def dcp(true_coeffs, true_var: float, est_coeffs, est_var: float, parent_cov=Non
 def kl_divergence(truth: GaussianBayesNet, estimate: GaussianBayesNet, condition_eps: float | None = None) -> EvalReport:
     """Exact KL(truth || estimate) decomposed into per-node terms.
 
-    Both models must share the same DAG. Parent covariances come from the
-    true model's exact covariance, so the total equals the closed-form
-    Gaussian KL between the two joint distributions. Pass
-    ``condition_eps`` to also evaluate the per-node error-budget
-    predicates (see :func:`condition_predicates`).
+    The estimate may sit on the truth's DAG or on a sub-DAG of it: the
+    same node count, with each node's estimate parents a subset of its
+    true parents (as :func:`gbnlearn.dag.remove_random_edges` produces).
+    Node i's estimated coefficients are placed at their positions among
+    the true parents, with zeros for the removed ones, and scored by
+    :func:`dcp` against the true parent covariance. Because the true
+    noise of node i is independent of its true parents, each term is the
+    exact KL between the two conditionals of node i, so every term is
+    nonnegative and the total equals the closed-form Gaussian KL between
+    the two joint distributions. Any other pair of DAGs raises
+    StructureMismatch. Pass ``condition_eps`` to also evaluate the
+    per-node error-budget predicates (see :func:`condition_predicates`).
     """
-    if truth.dag != estimate.dag:
-        raise StructureMismatch("models must share the same DAG")
+    est_coeffs = _coeffs_on_true_parents(truth, estimate)
     dag = truth.dag
     cov_true = covariance(truth)
     per_node = np.empty(dag.n)
-    quads = np.empty(dag.n)
     for i in range(dag.n):
         pa = dag.parents[i]
         m_i = cov_true[np.ix_(pa, pa)] if pa else None
-        per_node[i] = dcp(truth.coeffs[i], truth.variances[i], estimate.coeffs[i], estimate.variances[i], m_i)
-        if pa:
-            delta = estimate.coeffs[i] - truth.coeffs[i]
-            quads[i] = float(delta @ m_i @ delta)
-        else:
-            quads[i] = 0.0
+        per_node[i] = dcp(truth.coeffs[i], truth.variances[i], est_coeffs[i], estimate.variances[i], m_i)
     kl_total = float(np.sum(per_node))
     if kl_total < -KL_NEGATIVE_TOLERANCE:
         # Each term is a KL of conditionals, so the sum is nonnegative up
@@ -309,7 +309,7 @@ def kl_divergence(truth: GaussianBayesNet, estimate: GaussianBayesNet, condition
     tv_upper = min(1.0, math.sqrt(max(kl_total, 0.0) / 2.0))
     cond1 = cond2 = None
     if condition_eps is not None:
-        cond1, cond2 = condition_predicates(truth, estimate, condition_eps, quads=quads)
+        cond1, cond2 = condition_predicates(truth, estimate, condition_eps)
     return EvalReport(
         per_node_dcp=per_node,
         kl_total=kl_total,
@@ -319,7 +319,31 @@ def kl_divergence(truth: GaussianBayesNet, estimate: GaussianBayesNet, condition
     )
 
 
-def condition_predicates(truth: GaussianBayesNet, estimate: GaussianBayesNet, eps: float, quads=None):
+def _coeffs_on_true_parents(truth: GaussianBayesNet, estimate: GaussianBayesNet) -> tuple[np.ndarray, ...]:
+    """The estimate's coefficients aligned with the truth's parent lists.
+
+    A node whose parents agree keeps its coefficient vector as is; a node
+    on a sub-DAG gets a zero-padded copy. Raises StructureMismatch unless
+    the estimate's DAG is the truth's DAG or a sub-DAG of it.
+    """
+    if estimate.dag.n != truth.dag.n:
+        raise StructureMismatch(f"models have {truth.dag.n} and {estimate.dag.n} nodes")
+    out = []
+    for i, (pa, pa_hat) in enumerate(zip(truth.dag.parents, estimate.dag.parents)):
+        if pa_hat == pa:
+            out.append(estimate.coeffs[i])
+            continue
+        position = {j: k for k, j in enumerate(pa)}
+        extra = [j for j in pa_hat if j not in position]
+        if extra:
+            raise StructureMismatch(f"estimate edges {[(j, i) for j in extra]} are not in the true DAG")
+        padded = np.zeros(len(pa))
+        padded[[position[j] for j in pa_hat]] = estimate.coeffs[i]
+        out.append(padded)
+    return tuple(out)
+
+
+def condition_predicates(truth: GaussianBayesNet, estimate: GaussianBayesNet, eps: float):
     """Per-node error-budget predicates for a total budget ``eps``.
 
     Node i's share of the budget is ``eps * p_i / (n * d_avg)``. The
@@ -330,30 +354,25 @@ def condition_predicates(truth: GaussianBayesNet, estimate: GaussianBayesNet, ep
     use an effective parent count of one there, since a zero-width
     bracket would be unsatisfiable by any finite-sample estimate. A
     graph with no edges falls back to ``n`` as the normalizer for the
-    same reason.
+    same reason. Parent counts are those of the true DAG; the estimate
+    may sit on a sub-DAG of it, as in :func:`kl_divergence`.
     """
     if eps <= 0:
         raise InvalidParameter(f"error budget must be positive, got {eps}")
-    if truth.dag != estimate.dag:
-        raise StructureMismatch("models must share the same DAG")
+    est_coeffs = _coeffs_on_true_parents(truth, estimate)
     dag = truth.dag
-    if quads is None:
-        cov_true = covariance(truth)
-        quads = np.zeros(dag.n)
-        for i in range(dag.n):
-            pa = dag.parents[i]
-            if pa:
-                delta = estimate.coeffs[i] - truth.coeffs[i]
-                quads[i] = float(delta @ cov_true[np.ix_(pa, pa)] @ delta)
+    cov_true = covariance(truth)
     total_edges = dag.num_edges
     denom = total_edges if total_edges > 0 else dag.n
     cond1 = np.empty(dag.n, dtype=bool)
     cond2 = np.empty(dag.n, dtype=bool)
     for i in range(dag.n):
-        p = len(dag.parents[i])
+        pa = dag.parents[i]
+        p = len(pa)
         sigma2 = float(truth.variances[i])
-        share1 = eps * p / denom
-        cond1[i] = abs(quads[i]) <= sigma2 * share1
+        delta = est_coeffs[i] - truth.coeffs[i]
+        quad = float(delta @ cov_true[np.ix_(pa, pa)] @ delta) if pa else 0.0
+        cond1[i] = abs(quad) <= sigma2 * (eps * p / denom)
         half_width = math.sqrt(eps * max(p, 1) / denom)
         est_var = float(estimate.variances[i])
         cond2[i] = (1.0 - half_width) * sigma2 <= est_var <= (1.0 + half_width) * sigma2

@@ -345,6 +345,12 @@ class TestScenarios:
         rows = run_experiment(cfg)
         # Missing edges leave an approximation error no amount of data removes.
         assert all(r.kl_total > 0.05 for r in rows if r.m == 4000)
+        # The per-node scores equal the KL between the joint covariances.
+        for r in rows:
+            rd = generate_rep_data(cfg, r.rep)
+            model = estimators.fit_detailed(rd.fit_dag, rd.data[: r.m], cfg.methods[0].config).model
+            oracle = gbn.gaussian_kl(gbn.covariance(rd.truth), gbn.covariance(model))
+            assert r.kl_total == pytest.approx(oracle, rel=1e-8)
 
 
 class TestSummarize:

@@ -13,7 +13,7 @@ import pytest
 import gbnlearn
 from gbnlearn import gbn
 from gbnlearn.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, cli
-from gbnlearn.dag import read_dag_file
+from gbnlearn.dag import build_dag, read_dag_file, write_dag_file
 
 TINY_BENCH = {
     "graph": {"kind": "tree", "n": 5},
@@ -119,6 +119,27 @@ class TestFitAndEval:
         dcp_lines = [line for line in out if line.startswith("dcp ")]
         assert len(dcp_lines) == 6
         assert [int(line.split()[1]) for line in dcp_lines] == list(range(6))
+
+    def test_eval_estimate_on_sub_dag(self, tmp_path, capsys):
+        dag_path, model_path, samples_path = _generate(tmp_path)
+        dag = read_dag_file(dag_path)
+        edges = dag.edges()
+        sub_path = tmp_path / "sub_dag.txt"
+        write_dag_file(build_dag(dag.n, edges[1:]), sub_path)
+        # Node 0 is the root, so an edge from it to a non-child keeps the DAG acyclic.
+        extra = next((0, i) for i in range(1, dag.n) if 0 not in dag.parents[i])
+        super_path = tmp_path / "super_dag.txt"
+        write_dag_file(build_dag(dag.n, edges + [extra]), super_path)
+        for path, name in ((sub_path, "sub.txt"), (super_path, "super.txt")):
+            fit_args = ["fit", "--dag", str(path), "--samples", str(samples_path), "--method", "least_squares"]
+            assert cli([*fit_args, "--out", str(tmp_path / name)]) == EXIT_OK
+        capsys.readouterr()
+        assert cli(["eval", str(model_path), str(tmp_path / "sub.txt"), "--per-node"]) == EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        dcp_lines = [line for line in out if line.startswith("dcp ")]
+        assert [int(line.split()[1]) for line in dcp_lines] == list(range(dag.n))
+        assert float(out[0].split()[1]) > 0.1  # the dropped edge's coefficient has magnitude >= 1
+        assert cli(["eval", str(model_path), str(tmp_path / "super.txt")]) == EXIT_DATA
 
     def test_eval_model_against_itself_is_zero(self, tmp_path, capsys):
         _, model_path, _ = _generate(tmp_path)

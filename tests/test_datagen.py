@@ -1,4 +1,4 @@
-"""Contaminated sampling and the misspecified-structure scenario."""
+"""Contaminated sampling."""
 
 import numpy as np
 import pytest
@@ -7,11 +7,10 @@ from gbnlearn.dag import build_dag, random_er_dag, random_tree_dag
 from gbnlearn.datagen import (
     ContaminationSpec,
     NoiseLaw,
-    agnostic_pair,
     choose_contamination_targets,
     contaminated_sample,
 )
-from gbnlearn.errors import InvalidSpec, NotEnoughEdges
+from gbnlearn.errors import InvalidSpec
 from gbnlearn.gbn import GaussianBayesNet, UnitVariances, random_gbn, sample
 
 
@@ -175,25 +174,3 @@ class TestContaminatedSample:
         spec = ContaminationSpec(sample_fraction=0.1, node_count=5)
         with pytest.raises(InvalidSpec):
             contaminated_sample(model, 50, spec, np.random.default_rng(17))
-
-
-class TestAgnosticPair:
-    def test_fit_dag_is_a_strict_edge_subset(self):
-        rng = np.random.default_rng(18)
-        truth = random_er_dag(20, 3.0, rng)
-        got_truth, fit_dag = agnostic_pair(truth, 4, rng)
-        assert got_truth is truth
-        assert fit_dag.num_edges == truth.num_edges - 4
-        assert set(fit_dag.edges()) < set(truth.edges())
-
-    def test_zero_removals_returns_same_dag(self):
-        rng = np.random.default_rng(19)
-        truth = random_tree_dag(10, rng)
-        _, fit_dag = agnostic_pair(truth, 0, rng)
-        assert fit_dag is truth
-
-    def test_too_many_removals(self):
-        rng = np.random.default_rng(20)
-        truth = random_tree_dag(5, rng)  # 4 edges
-        with pytest.raises(NotEnoughEdges):
-            agnostic_pair(truth, 5, rng)

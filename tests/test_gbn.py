@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from gbnlearn.dag import build_dag, random_er_dag, random_tree_dag
+from gbnlearn.dag import build_dag, random_er_dag, random_tree_dag, remove_random_edges
 from gbnlearn.errors import (
     DimensionMismatch,
     FileFormatError,
@@ -275,12 +275,19 @@ class TestKlDivergence:
         assert report.kl_total >= -1e-12
 
     def test_matches_joint_covariance_oracle(self):
+        # Pairs on the same DAG, then estimates on a sub-DAG of the truth's.
         rng = np.random.default_rng(12)
-        for _ in range(100):
-            truth, estimate = _random_pair(rng)
-            report = kl_divergence(truth, estimate)
-            oracle = gaussian_kl(covariance(truth), covariance(estimate))
-            assert report.kl_total == pytest.approx(oracle, rel=1e-8, abs=1e-10)
+        for sub_dag in (False, True):
+            for _ in range(100):
+                truth, estimate = _random_pair(rng)
+                if sub_dag:
+                    k = int(rng.integers(0, truth.dag.num_edges + 1))
+                    fit_dag = remove_random_edges(truth.dag, k, rng)
+                    estimate = random_gbn(fit_dag, (0.5, 1.5), UniformVariances(0.5, 2.0), rng)
+                report = kl_divergence(truth, estimate)
+                oracle = gaussian_kl(covariance(truth), covariance(estimate))
+                assert report.kl_total == pytest.approx(oracle, rel=1e-8, abs=1e-10)
+                assert report.per_node_dcp.min() >= -1e-12
 
     def test_single_perturbed_coefficient(self):
         # With variances untouched, the KL is delta^2 Var(parent) / 2.
@@ -305,11 +312,27 @@ class TestKlDivergence:
         )
 
     def test_structure_mismatch(self):
-        a = _chain_model()
-        dag2 = build_dag(2, [])
-        b = GaussianBayesNet(dag2, (np.zeros(0), np.zeros(0)), np.ones(2))
-        with pytest.raises(StructureMismatch):
-            kl_divergence(a, b)
+        # Estimate edges the truth lacks (reversed, or added on top), and a
+        # different node count.
+        truth = _chain_model()
+        truth3 = GaussianBayesNet(build_dag(3, [(0, 1)]), (np.zeros(0), np.array([2.0]), np.zeros(0)), np.ones(3))
+        reversed_edge = GaussianBayesNet(build_dag(2, [(1, 0)]), (np.array([0.5]), np.zeros(0)), np.ones(2))
+        added_edge = GaussianBayesNet(
+            build_dag(3, [(0, 1), (1, 2)]), (np.zeros(0), np.array([2.0]), np.array([1.0])), np.ones(3)
+        )
+        for t, est in ((truth, reversed_edge), (truth3, added_edge), (truth, truth3)):
+            with pytest.raises(StructureMismatch):
+                kl_divergence(t, est)
+            with pytest.raises(StructureMismatch):
+                condition_predicates(t, est, eps=0.5)
+
+    def test_sub_dag_estimate_drops_coefficients_to_zero(self):
+        # Empty estimate DAG under the chain: node 1's term is a^2 Var(X_0) / 2.
+        truth = _chain_model(a=2.0)
+        est = GaussianBayesNet(build_dag(2, []), (np.zeros(0), np.zeros(0)), np.ones(2))
+        report = kl_divergence(truth, est, condition_eps=0.5)
+        assert report.per_node_dcp.tolist() == [0.0, 2.0]
+        assert not bool(report.condition1_satisfied[1])
 
     def test_conditions_none_without_eps(self):
         truth = _chain_model()
