@@ -51,10 +51,8 @@ VARIANCE_METHODS = ("empirical", "mad")
 # conventional).
 MAD_SCALE = 1.4826
 
-# Relative threshold on the Gram matrix X^T X below which a design is
-# declared rank deficient. lstsq's cutoff acts on singular values of X,
-# so the equivalent value there is the square root.
-RANK_TOLERANCE = 1e-12
+# A least-squares design is rank deficient when its smallest singular
+# value is at most this fraction of its largest.
 _LSTSQ_RCOND = 1e-6
 
 # A variance estimate at or below this floor is degenerate: the value is
@@ -104,32 +102,71 @@ class FitOutcome:
 # per-node coefficient estimators
 
 
+def _lstsq_stack(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    # Least squares over a (b, k, p) stack with k >= p: one batched QR of
+    # [X | y] gives R and Q^T y together, then one batched solve of the
+    # leading p x p triangles gives the solutions and R^-1. Returns the
+    # solutions of the full-rank batches only, in stack order.
+    #
+    # The rank rule is lstsq's, on R's singular values (those of X): rank
+    # deficient when s_min <= _LSTSQ_RCOND * s_max. Two bounds settle
+    # almost every batch without an SVD. s_min <= min|R_jj| and
+    # max|R_jj| <= s_max, so a small diagonal ratio is rank deficient;
+    # and s_max / s_min <= ||R||_F * ||R^-1||_F, so a small product is
+    # full rank.
+    p = xs.shape[2]
+    aug = np.concatenate([xs, ys[..., None]], axis=2)
+    if not np.isfinite(aug).all():
+        raise InvalidParameter("least-squares input contains NaN or infinite values")
+    r = np.linalg.qr(aug, mode="r")
+    diag = np.abs(np.diagonal(r[:, :p, :p], axis1=1, axis2=2))
+    r = r[diag.min(axis=1, initial=np.inf) > _LSTSQ_RCOND * diag.max(axis=1, initial=0.0)]
+    tri = r[:, :p, :p]
+    rhs = np.concatenate([r[:, :p, p:], np.broadcast_to(np.eye(p), tri.shape)], axis=2)
+    z = np.linalg.solve(tri, rhs)  # columns: the solution, then R^-1
+    cond_bound = np.linalg.norm(tri, axis=(1, 2)) * np.linalg.norm(z[..., 1:], axis=(1, 2))
+    full_rank = cond_bound * _LSTSQ_RCOND < 1.0
+    unsure = np.flatnonzero(~full_rank)
+    if len(unsure):
+        sv = np.linalg.svd(tri[unsure], compute_uv=False)
+        full_rank[unsure] = sv[:, -1] > _LSTSQ_RCOND * sv[:, 0]
+    return z[full_rank, :, 0]
+
+
 def least_squares_node(parent_block: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Ordinary least squares of ``target`` on ``parent_block``.
 
-    Raises RankDeficient when the Gram matrix is numerically singular at
-    the relative threshold ``RANK_TOLERANCE``.
+    Solved through the QR factorization ``X = QR``. Raises RankDeficient
+    when there are fewer rows than parents, or when the smallest singular
+    value of ``X`` is at most ``_LSTSQ_RCOND`` times the largest (the rank
+    rule of ``np.linalg.lstsq(rcond=_LSTSQ_RCOND)``), and InvalidParameter
+    when the input holds NaN or +-inf.
     """
     x = np.asarray(parent_block, dtype=float)
     y = np.asarray(target, dtype=float)
     if x.ndim != 2 or y.shape != (x.shape[0],):
         raise DimensionMismatch(f"incompatible shapes {x.shape} and {y.shape}")
-    p = x.shape[1]
-    sol, _, rank, _ = np.linalg.lstsq(x, y, rcond=_LSTSQ_RCOND)
-    if rank < p:
-        raise RankDeficient(f"design matrix has numerical rank {rank} < {p}")
-    return sol
+    m, p = x.shape
+    if m < p:
+        raise RankDeficient(f"design matrix has {m} rows < {p} parents")
+    sols = _lstsq_stack(x[None], y[None])
+    if not len(sols):
+        raise RankDeficient(f"design matrix has relative singular value <= {_LSTSQ_RCOND}")
+    return sols[0]
 
 
 def batch_least_squares(parent_block: np.ndarray, target: np.ndarray, k: int, aggregator: str) -> np.ndarray:
     """Disjoint consecutive batches of ``k`` rows, least squares per batch.
 
     ``k`` must exceed the parent count; ``floor(m / k)`` batches are used
-    and trailing rows are discarded. A rank-deficient batch is skipped;
-    if every batch is skipped the whole call raises RankDeficient.
-    ``aggregator`` selects ``"mean"`` or coordinate-wise ``"median"``
-    (an even solution count yields the average of the two central order
-    statistics per coordinate).
+    and trailing rows are discarded. All batches are solved in one stacked
+    QR call, under the same rank rule as :func:`least_squares_node`: a
+    batch whose smallest singular value is at most ``_LSTSQ_RCOND`` times
+    its largest is skipped; if every batch is skipped the whole call raises
+    RankDeficient. Input holding NaN or +-inf raises InvalidParameter.
+    ``aggregator`` selects ``"mean"`` or coordinate-wise
+    ``"median"`` (an even solution count yields the average of the two
+    central order statistics per coordinate).
     """
     x = np.asarray(parent_block, dtype=float)
     y = np.asarray(target, dtype=float)
@@ -143,17 +180,9 @@ def batch_least_squares(parent_block: np.ndarray, target: np.ndarray, k: int, ag
     b = m // k
     if b < 1:
         raise InsufficientSamples(f"{m} rows cannot form a batch of {k}")
-    solutions = []
-    skipped = 0
-    for s in range(b):
-        rows = slice(s * k, (s + 1) * k)
-        try:
-            solutions.append(least_squares_node(x[rows], y[rows]))
-        except RankDeficient:
-            skipped += 1
-    if not solutions:
+    stacked = _lstsq_stack(x[: b * k].reshape(b, k, p), y[: b * k].reshape(b, k))
+    if not len(stacked):
         raise RankDeficient(f"all {b} batches were rank deficient")
-    stacked = np.asarray(solutions)
     if aggregator == "mean":
         return stacked.mean(axis=0)
     return np.median(stacked, axis=0)
@@ -338,6 +367,8 @@ def fit_detailed(dag: Dag, data: np.ndarray, config: FitConfig) -> FitOutcome:
     (``empirical`` mean square or robust ``mad``). A variance estimate of
     zero is floored at ``DEGENERATE_VARIANCE`` and the node is reported
     in ``degenerate_nodes`` so callers can exclude the fit from scoring.
+    Samples holding NaN or +-inf are rejected with InvalidParameter before
+    any solve.
     """
     if config.method == "empirical_mle":
         raise ConfigInvalid(
@@ -347,8 +378,8 @@ def fit_detailed(dag: Dag, data: np.ndarray, config: FitConfig) -> FitOutcome:
     x = np.asarray(data, dtype=float)
     if x.ndim != 2 or x.shape[1] != dag.n:
         raise DimensionMismatch(f"expected (m, {dag.n}) samples, got shape {x.shape}")
-    if np.isnan(x).any():
-        raise InvalidParameter("samples contain NaN")
+    if not np.isfinite(x).all():
+        raise InvalidParameter("samples contain NaN or infinite values")
     m = x.shape[0]
     m1 = int(config.split_fraction * m)
     m2 = m - m1

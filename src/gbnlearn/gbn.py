@@ -474,11 +474,14 @@ def save_samples(data: np.ndarray, path) -> None:
 
 
 def load_samples(path) -> np.ndarray:
-    """Read a samples CSV written by :func:`save_samples`."""
+    """Read a samples CSV written by :func:`save_samples`.
+
+    A file holding NaN or +-inf raises FileFormatError.
+    """
     try:
         arr = np.loadtxt(path, delimiter=",", ndmin=2)
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
-    if np.isnan(arr).any():
-        raise FileFormatError(f"{path}: samples contain NaN")
+    if not np.isfinite(arr).all():
+        raise FileFormatError(f"{path}: samples contain NaN or infinite values")
     return arr

@@ -188,6 +188,16 @@ class TestFitAndEval:
         code = cli(["fit", "--dag", str(dag_path), "--samples", str(samples_path), "--method", "cauchy_est", "--out", str(tmp_path / "est.txt")])
         assert code == EXIT_NUMERIC
 
+    def test_fit_rejects_infinite_samples(self, tmp_path, capsys):
+        dag_path, _, samples_path = _generate(tmp_path)
+        lines = samples_path.read_text().splitlines()
+        lines[3] = ",".join(["inf"] + lines[3].split(",")[1:])
+        samples_path.write_text("\n".join(lines) + "\n")
+        code = cli(["fit", "--dag", str(dag_path), "--samples", str(samples_path), "--method", "least_squares", "--out", str(tmp_path / "est.txt")])
+        assert code == EXIT_DATA
+        assert "infinite" in capsys.readouterr().err
+        assert not (tmp_path / "est.txt").exists()
+
     def test_eval_missing_file(self, tmp_path):
         assert cli(["eval", str(tmp_path / "nope.txt"), str(tmp_path / "nope.txt")]) == EXIT_DATA
 
@@ -277,6 +287,15 @@ def _declared_scripts():
         return tomllib.load(fh)["project"].get("scripts", {})
 
 
+def _package_env():
+    # A child interpreter's environment that imports the gbnlearn package
+    # this test imported, wherever pytest was started.
+    package_root = str(Path(gbnlearn.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_console_script_installed():
     # The declared entry point, run in a fresh interpreter as an installed
     # console-script wrapper would run it.
@@ -288,14 +307,11 @@ def test_console_script_installed():
         "sys.argv[0] = 'gbnlearn'\n"
         f"sys.exit(EntryPoint('gbnlearn', {spec!r}, 'console_scripts').load()())\n"
     )
-    package_root = str(Path(gbnlearn.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", wrapper, "--help"],
         capture_output=True,
         text=True,
-        env=env,
+        env=_package_env(),
         timeout=SCRIPT_TIMEOUT_S,
     )
     assert proc.returncode == 0, proc.stderr
@@ -310,3 +326,16 @@ def test_console_script_installed():
         )
         assert proc.returncode == 0
         assert "generate" in proc.stdout
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = subprocess.run(
+        [sys.executable, "-m", "gbnlearn", "--help"],
+        capture_output=True,
+        text=True,
+        env=_package_env(),
+        timeout=SCRIPT_TIMEOUT_S,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "usage: gbnlearn" in proc.stdout
+    assert "generate" in proc.stdout

@@ -18,9 +18,12 @@ from gbnlearn.errors import (
     RankDeficient,
 )
 from gbnlearn.estimators import (
+    _LSTSQ_RCOND,
+    COEFFICIENT_METHODS,
     DEGENERATE_VARIANCE,
     MAD_SCALE,
     FitConfig,
+    _lstsq_stack,
     batch_least_squares,
     batch_solve,
     cauchy_est_node,
@@ -74,6 +77,21 @@ class TestLeastSquares:
         x = np.column_stack([col, col])
         with pytest.raises(RankDeficient):
             least_squares_node(x, rng.normal(size=20))
+
+    @pytest.mark.parametrize("where", ["parents", "target"])
+    def test_non_finite_input_rejected(self, where):
+        # Neither solved into NaN coefficients nor skipped as a rank-deficient batch.
+        rng = np.random.default_rng(25)
+        x, y = rng.normal(size=(40, 2)), rng.normal(size=40)
+        if where == "parents":
+            x[3, 0] = np.inf
+        else:
+            y[3] = np.nan
+        with pytest.raises(InvalidParameter):
+            least_squares_node(x, y)
+        for aggregator in ("mean", "median"):
+            with pytest.raises(InvalidParameter):
+                batch_least_squares(x, y, k=10, aggregator=aggregator)
 
     def test_fewer_rows_than_parents(self):
         with pytest.raises(RankDeficient):
@@ -130,6 +148,88 @@ class TestBatchLeastSquares:
         y = np.ones(4)
         with pytest.raises(RankDeficient):
             batch_least_squares(x, y, k=2, aggregator="mean")
+
+
+def _lstsq_full_rank(x):
+    return np.linalg.lstsq(x, np.zeros(len(x)), rcond=_LSTSQ_RCOND)[2] == x.shape[1]
+
+
+class TestRankRule:
+    """Purpose-built batches: the stacked kernel skips exactly the batches
+    that ``np.linalg.lstsq(rcond=_LSTSQ_RCOND)`` finds rank deficient."""
+
+    K = 12
+
+    def _batches(self):
+        rng = np.random.default_rng(21)
+        base = rng.normal(size=(self.K, 3))
+        col, z = base[:, 0], rng.normal(size=self.K)
+
+        def second_column(values):
+            out = base.copy()
+            out[:, 1] = values
+            return out
+
+        q, _ = np.linalg.qr(rng.normal(size=(self.K, 3)))
+        # Unit diagonal, but singular values ~1e7, 1, 1e-7: only the
+        # singular values reveal the rank.
+        hidden = q @ np.array([[1.0, 1e7, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        return {
+            "well_conditioned": (base, True),
+            "collinear_pair": (second_column(2.0 * col), False),
+            "zero_column": (second_column(np.zeros(self.K)), False),
+            "near_collinear_1e-3": (second_column(col + 1e-3 * z), True),
+            "near_collinear_1e-9": (second_column(col + 1e-9 * z), False),
+            "rank_hidden_by_diagonal": (hidden, False),
+        }
+
+    def _targets(self, xs):
+        rng = np.random.default_rng(22)
+        return np.stack([x @ np.array([1.0, -2.0, 0.5]) + 0.1 * rng.normal(size=self.K) for x in xs])
+
+    def test_least_squares_node_raises_exactly_when_lstsq_rank_is_short(self):
+        batches = self._batches()
+        ys = self._targets([x for x, _ in batches.values()])
+        for (name, (x, kept)), y in zip(batches.items(), ys):
+            assert _lstsq_full_rank(x) == kept, name
+            if kept:
+                ref = np.linalg.lstsq(x, y, rcond=_LSTSQ_RCOND)[0]
+                assert least_squares_node(x, y) == pytest.approx(ref, rel=1e-8), name
+            else:
+                with pytest.raises(RankDeficient):
+                    least_squares_node(x, y)
+
+    def test_stack_keeps_exactly_the_full_rank_batches(self):
+        xs = [x for x, _ in self._batches().values()]
+        ys = self._targets(xs)
+        refs = [np.linalg.lstsq(x, y, rcond=_LSTSQ_RCOND)[0] for x, y in zip(xs, ys) if _lstsq_full_rank(x)]
+        assert len(refs) == 2
+        sols = _lstsq_stack(np.stack(xs), ys)
+        assert sols.shape == (2, 3)
+        for sol, ref in zip(sols, refs):
+            assert sol == pytest.approx(ref, rel=1e-8)
+        out = batch_least_squares(np.concatenate(xs), ys.reshape(-1), k=self.K, aggregator="mean")
+        assert out == pytest.approx(np.mean(refs, axis=0), rel=1e-8)
+
+
+def test_stacked_kernel_matches_per_batch_lstsq():
+    rng = np.random.default_rng(23)
+    for p in range(1, 9):
+        for k in range(p + 1, p + 26):
+            b = int(rng.integers(1, 6))
+            x = rng.normal(size=(b * k, p))
+            y = x @ rng.normal(size=p) + rng.normal(size=b * k)
+            refs = np.stack(
+                [np.linalg.lstsq(x[s * k : (s + 1) * k], y[s * k : (s + 1) * k], rcond=None)[0] for s in range(b)]
+            )
+            sols = _lstsq_stack(x.reshape(b, k, p), y.reshape(b, k))
+            assert sols.shape == refs.shape
+            for sol, ref in zip(sols, refs):
+                assert np.linalg.norm(sol - ref) <= 1e-10 * np.linalg.norm(ref), (p, k)
+            mean = batch_least_squares(x, y, k=k, aggregator="mean")
+            median = batch_least_squares(x, y, k=k, aggregator="median")
+            assert mean == pytest.approx(refs.mean(axis=0), rel=1e-10, abs=1e-12), (p, k)
+            assert median == pytest.approx(np.median(refs, axis=0), rel=1e-10, abs=1e-12), (p, k)
 
 
 class TestBatchSolve:
@@ -423,6 +523,17 @@ class TestFit:
         data = np.array([[1.0], [np.nan], [1.0], [1.0]])
         with pytest.raises(InvalidParameter):
             fit(dag, data, FitConfig(method="least_squares"))
+
+    @pytest.mark.parametrize("method", COEFFICIENT_METHODS)
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinite_sample_rejected(self, method, value):
+        # One infinite parent value in the coefficient rows: rejected before
+        # any solve, never turned into a LAPACK error or a skipped batch.
+        dag = build_dag(3, [(0, 2), (1, 2)])
+        data = np.random.default_rng(24).normal(size=(200, 3))
+        data[5, 0] = value
+        with pytest.raises(InvalidParameter, match="^samples contain NaN or infinite"):
+            fit(dag, data, FitConfig(method=method, batch_extra=5))
 
     def test_wrong_width_rejected(self):
         dag = build_dag(2, [(0, 1)])

@@ -434,3 +434,10 @@ class TestFileFormats:
         path.write_text("1.0,nan\n")
         with pytest.raises(FileFormatError):
             load_samples(path)
+
+    @pytest.mark.parametrize("text", ["inf", "-inf"])
+    def test_samples_infinite_rejected(self, tmp_path, text):
+        path = tmp_path / "inf.csv"
+        path.write_text(f"1.0,2.0\n{text},0.5\n")
+        with pytest.raises(FileFormatError, match="infinite"):
+            load_samples(path)
