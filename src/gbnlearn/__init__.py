@@ -27,7 +27,7 @@ from .gbn import (
     dcp,
     gaussian_kl,
     kl_divergence,
-    parent_covariance,
+    parent_covariances,
     random_gbn,
     sample,
 )
@@ -50,7 +50,7 @@ __all__ = [
     "random_gbn",
     "sample",
     "covariance",
-    "parent_covariance",
+    "parent_covariances",
     "dcp",
     "kl_divergence",
     "gaussian_kl",

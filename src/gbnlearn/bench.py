@@ -222,8 +222,12 @@ def generate_rep_data(config: ExperimentConfig, rep: int) -> RepData:
     return RepData(truth=truth, fit_dag=fit_dag, data=data, seed=seed, rep=rep)
 
 
-def _evaluate_fit(rd: RepData, mspec: MethodSpec, m: int):
-    """(kl_total or None, degenerate) for one method at one sample size."""
+def _evaluate_fit(rd: RepData, mspec: MethodSpec, m: int, parent_covs):
+    """(kl_total or None, degenerate) for one method at one sample size.
+
+    ``parent_covs`` holds :func:`gbnlearn.gbn.parent_covariances` of the
+    repetition's truth, computed once for all of its cells.
+    """
     data_m = rd.data[:m]
     try:
         if mspec.config.method == "empirical_mle":
@@ -232,7 +236,7 @@ def _evaluate_fit(rd: RepData, mspec: MethodSpec, m: int):
         outcome = estimators.fit_detailed(rd.fit_dag, data_m, mspec.config)
         if outcome.degenerate_nodes:
             return None, True
-        return gbn.kl_divergence(rd.truth, outcome.model).kl_total, False
+        return gbn.kl_divergence(rd.truth, outcome.model, parent_covs=parent_covs).kl_total, False
     except (CholeskyFailed, RankDeficient, NotPositiveDefinite):
         return None, True
 
@@ -246,15 +250,16 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     rows: list[ResultRow] = []
     for rep in range(config.repetitions):
         rd = generate_rep_data(config, rep)
+        parent_covs = gbn.parent_covariances(rd.truth)
         for mspec in config.methods:
             for m in config.sample_sizes:
                 wall_ms = 0.0
                 if config.record_timing:
                     t0 = time.perf_counter()
-                    kl, degenerate = _evaluate_fit(rd, mspec, m)
+                    kl, degenerate = _evaluate_fit(rd, mspec, m, parent_covs)
                     wall_ms = (time.perf_counter() - t0) * 1000.0
                 else:
-                    kl, degenerate = _evaluate_fit(rd, mspec, m)
+                    kl, degenerate = _evaluate_fit(rd, mspec, m, parent_covs)
                 tv = None if kl is None else min(1.0, math.sqrt(max(kl, 0.0) / 2.0))
                 rows.append(
                     ResultRow(

@@ -56,10 +56,6 @@ class StructureMismatch(GbnError):
     """Two models expected to share a DAG do not."""
 
 
-class NoParents(GbnError):
-    """Operation requires a node with at least one parent."""
-
-
 class NumericalError(GbnError):
     """Base class for surfaced numerical failures."""
 

@@ -102,6 +102,18 @@ class FitOutcome:
 # per-node coefficient estimators
 
 
+def _node_arrays(parent_block, target) -> tuple[np.ndarray, np.ndarray]:
+    # The shared input check of the per-node kernels: a 2-d parent block,
+    # a target with one value per row, and no NaN or +-inf in either.
+    x = np.asarray(parent_block, dtype=float)
+    y = np.asarray(target, dtype=float)
+    if x.ndim != 2 or y.shape != (x.shape[0],):
+        raise DimensionMismatch(f"incompatible shapes {x.shape} and {y.shape}")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise InvalidParameter("parent block or target contains NaN or infinite values")
+    return x, y
+
+
 def _lstsq_stack(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     # Least squares over a (b, k, p) stack with k >= p: one batched QR of
     # [X | y] gives R and Q^T y together, then one batched solve of the
@@ -116,8 +128,6 @@ def _lstsq_stack(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     # full rank.
     p = xs.shape[2]
     aug = np.concatenate([xs, ys[..., None]], axis=2)
-    if not np.isfinite(aug).all():
-        raise InvalidParameter("least-squares input contains NaN or infinite values")
     r = np.linalg.qr(aug, mode="r")
     diag = np.abs(np.diagonal(r[:, :p, :p], axis1=1, axis2=2))
     r = r[diag.min(axis=1, initial=np.inf) > _LSTSQ_RCOND * diag.max(axis=1, initial=0.0)]
@@ -142,10 +152,7 @@ def least_squares_node(parent_block: np.ndarray, target: np.ndarray) -> np.ndarr
     rule of ``np.linalg.lstsq(rcond=_LSTSQ_RCOND)``), and InvalidParameter
     when the input holds NaN or +-inf.
     """
-    x = np.asarray(parent_block, dtype=float)
-    y = np.asarray(target, dtype=float)
-    if x.ndim != 2 or y.shape != (x.shape[0],):
-        raise DimensionMismatch(f"incompatible shapes {x.shape} and {y.shape}")
+    x, y = _node_arrays(parent_block, target)
     m, p = x.shape
     if m < p:
         raise RankDeficient(f"design matrix has {m} rows < {p} parents")
@@ -168,10 +175,7 @@ def batch_least_squares(parent_block: np.ndarray, target: np.ndarray, k: int, ag
     ``"median"`` (an even solution count yields the average of the two
     central order statistics per coordinate).
     """
-    x = np.asarray(parent_block, dtype=float)
-    y = np.asarray(target, dtype=float)
-    if x.ndim != 2 or y.shape != (x.shape[0],):
-        raise DimensionMismatch(f"incompatible shapes {x.shape} and {y.shape}")
+    x, y = _node_arrays(parent_block, target)
     if aggregator not in ("mean", "median"):
         raise InvalidParameter(f"aggregator must be 'mean' or 'median', got {aggregator!r}")
     m, p = x.shape
@@ -229,12 +233,10 @@ def cauchy_est_tree_node(parent_block: np.ndarray, target: np.ndarray) -> np.nda
     Rows are split into ``floor(m / p)`` disjoint batches of exactly
     ``p`` rows; each batch is solved as a square system. For a polytree
     the per-batch errors are independent scaled Cauchy variables, so the
-    median concentrates even with heavy tails and corrupted rows.
+    median concentrates even with heavy tails and corrupted rows. Input
+    holding NaN or +-inf raises InvalidParameter before any solve.
     """
-    x = np.asarray(parent_block, dtype=float)
-    y = np.asarray(target, dtype=float)
-    if x.ndim != 2 or y.shape != (x.shape[0],):
-        raise DimensionMismatch(f"incompatible shapes {x.shape} and {y.shape}")
+    x, y = _node_arrays(parent_block, target)
     m, p = x.shape
     if p < 1:
         raise DimensionMismatch("node must have at least one parent")
@@ -255,12 +257,9 @@ def cauchy_est_node(parent_block: np.ndarray, target: np.ndarray) -> np.ndarray:
     through ``L^T``, the coordinate-wise median is taken there, and the
     result is mapped back by ``(L^T)^-1``. Requires ``m >= p + 1``. A
     failed factorization raises CholeskyFailed; it is never silently
-    regularized.
+    regularized. Input holding NaN or +-inf raises InvalidParameter first.
     """
-    x = np.asarray(parent_block, dtype=float)
-    y = np.asarray(target, dtype=float)
-    if x.ndim != 2 or y.shape != (x.shape[0],):
-        raise DimensionMismatch(f"incompatible shapes {x.shape} and {y.shape}")
+    x, y = _node_arrays(parent_block, target)
     m, p = x.shape
     if p < 1:
         raise DimensionMismatch("node must have at least one parent")
@@ -315,7 +314,9 @@ def variance_recovery(dag: Dag, data: np.ndarray, coeffs) -> np.ndarray:
     if x.shape[0] < 1:
         raise InsufficientSamples("variance recovery needs at least one row")
     resid = _residual_columns(dag, x, coeffs)
-    return (resid**2).mean(axis=0)
+    # Reduce in row order whatever the sample layout: numpy sums a
+    # contiguous axis pairwise, which would move the last bits.
+    return np.ascontiguousarray(resid**2).mean(axis=0)
 
 
 def mad_variance(residuals: np.ndarray) -> float:

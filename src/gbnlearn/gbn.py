@@ -28,7 +28,6 @@ from .errors import (
     InvalidParameter,
     InvalidRange,
     NonPositiveVariance,
-    NoParents,
     NotPositiveDefinite,
     StructureMismatch,
 )
@@ -166,12 +165,15 @@ def _draw_variances(n: int, spec, rng: np.random.Generator) -> np.ndarray:
 def sample(model: GaussianBayesNet, m: int, rng: np.random.Generator, contamination=None) -> np.ndarray:
     """Draw ``m`` i.i.d. samples; returns an ``(m, n)`` float array.
 
-    Nodes are filled in topological order, each from its structural
-    equation, so a fixed seed yields a bit-identical matrix. When a
-    contamination spec is given the designated (row, node) noise draws
-    are replaced by draws from the contaminating law (see
-    :func:`gbnlearn.datagen.contaminated_sample`), and the corruption
-    propagates to descendants through the structural equations.
+    The array is column-major (Fortran order): each node's column is
+    contiguous, matching the estimators, which read a node's column and
+    its parents' columns. Nodes are filled in topological order, each
+    from its structural equation, so a fixed seed yields a bit-identical
+    matrix. When a contamination spec is given the designated (row,
+    node) noise draws are replaced by draws from the contaminating law
+    (see :func:`gbnlearn.datagen.contaminated_sample`), and the
+    corruption propagates to descendants through the structural
+    equations.
     """
     if contamination is not None:
         from .datagen import contaminated_sample
@@ -184,7 +186,7 @@ def _forward_sample(model, m, rng, target_rows, target_nodes, contam_draw) -> np
     if not isinstance(m, int) or m < 1:
         raise InvalidParameter(f"sample count must be a positive integer, got {m!r}")
     dag = model.dag
-    x = np.empty((m, dag.n))
+    x = np.empty((m, dag.n), order="F")
     sigmas = np.sqrt(model.variances)
     for i in dag.order:
         # The clean draw always happens first so that, for a fixed seed,
@@ -229,14 +231,24 @@ def covariance(model: GaussianBayesNet) -> np.ndarray:
     return out
 
 
-def parent_covariance(model: GaussianBayesNet, i: int) -> np.ndarray:
-    """Covariance of node ``i``'s parent vector under ``model``."""
-    if not (0 <= i < model.dag.n):
-        raise InvalidIndex(f"node {i} outside [0, {model.dag.n})")
-    pa = model.dag.parents[i]
-    if not pa:
-        raise NoParents(f"node {i} has no parents")
-    return covariance(model)[np.ix_(pa, pa)]
+def parent_covariances(model: GaussianBayesNet) -> list[np.ndarray | None]:
+    """Covariance of each node's parent vector under ``model``.
+
+    Entry ``i`` is the ``p_i x p_i`` block of :func:`covariance` on node
+    i's parents (ascending order), or None for a parentless node. The
+    joint covariance is computed once and only the blocks are kept, so a
+    caller scoring many fits against one truth can hold them cheaply.
+    """
+    cov = covariance(model)
+    return [cov[np.ix_(pa, pa)] if pa else None for pa in model.dag.parents]
+
+
+def _resolve_parent_covs(truth: GaussianBayesNet, parent_covs):
+    if parent_covs is None:
+        return parent_covariances(truth)
+    if len(parent_covs) != truth.dag.n:
+        raise DimensionMismatch(f"expected {truth.dag.n} parent covariance blocks, got {len(parent_covs)}")
+    return parent_covs
 
 
 # --------------------------------------------------------------------------
@@ -277,7 +289,13 @@ def dcp(true_coeffs, true_var: float, est_coeffs, est_var: float, parent_cov=Non
     )
 
 
-def kl_divergence(truth: GaussianBayesNet, estimate: GaussianBayesNet, condition_eps: float | None = None) -> EvalReport:
+def kl_divergence(
+    truth: GaussianBayesNet,
+    estimate: GaussianBayesNet,
+    condition_eps: float | None = None,
+    *,
+    parent_covs=None,
+) -> EvalReport:
     """Exact KL(truth || estimate) decomposed into per-node terms.
 
     The estimate may sit on the truth's DAG or on a sub-DAG of it: the
@@ -292,15 +310,17 @@ def kl_divergence(truth: GaussianBayesNet, estimate: GaussianBayesNet, condition
     the two joint distributions. Any other pair of DAGs raises
     StructureMismatch. Pass ``condition_eps`` to also evaluate the
     per-node error-budget predicates (see :func:`condition_predicates`).
+    ``parent_covs`` takes the truth's :func:`parent_covariances`, so a
+    caller scoring many fits against one truth computes them once; when
+    omitted they are computed here.
     """
     est_coeffs = _coeffs_on_true_parents(truth, estimate)
-    dag = truth.dag
-    cov_true = covariance(truth)
-    per_node = np.empty(dag.n)
-    for i in range(dag.n):
-        pa = dag.parents[i]
-        m_i = cov_true[np.ix_(pa, pa)] if pa else None
-        per_node[i] = dcp(truth.coeffs[i], truth.variances[i], est_coeffs[i], estimate.variances[i], m_i)
+    parent_covs = _resolve_parent_covs(truth, parent_covs)
+    per_node = np.empty(truth.dag.n)
+    for i in range(truth.dag.n):
+        per_node[i] = dcp(
+            truth.coeffs[i], truth.variances[i], est_coeffs[i], estimate.variances[i], parent_covs[i]
+        )
     kl_total = float(np.sum(per_node))
     if kl_total < -KL_NEGATIVE_TOLERANCE:
         # Each term is a KL of conditionals, so the sum is nonnegative up
@@ -309,7 +329,7 @@ def kl_divergence(truth: GaussianBayesNet, estimate: GaussianBayesNet, condition
     tv_upper = min(1.0, math.sqrt(max(kl_total, 0.0) / 2.0))
     cond1 = cond2 = None
     if condition_eps is not None:
-        cond1, cond2 = condition_predicates(truth, estimate, condition_eps)
+        cond1, cond2 = condition_predicates(truth, estimate, condition_eps, parent_covs=parent_covs)
     return EvalReport(
         per_node_dcp=per_node,
         kl_total=kl_total,
@@ -343,7 +363,7 @@ def _coeffs_on_true_parents(truth: GaussianBayesNet, estimate: GaussianBayesNet)
     return tuple(out)
 
 
-def condition_predicates(truth: GaussianBayesNet, estimate: GaussianBayesNet, eps: float):
+def condition_predicates(truth: GaussianBayesNet, estimate: GaussianBayesNet, eps: float, *, parent_covs=None):
     """Per-node error-budget predicates for a total budget ``eps``.
 
     Node i's share of the budget is ``eps * p_i / (n * d_avg)``. The
@@ -355,13 +375,14 @@ def condition_predicates(truth: GaussianBayesNet, estimate: GaussianBayesNet, ep
     bracket would be unsatisfiable by any finite-sample estimate. A
     graph with no edges falls back to ``n`` as the normalizer for the
     same reason. Parent counts are those of the true DAG; the estimate
-    may sit on a sub-DAG of it, as in :func:`kl_divergence`.
+    may sit on a sub-DAG of it, as in :func:`kl_divergence`, which also
+    describes ``parent_covs``.
     """
     if eps <= 0:
         raise InvalidParameter(f"error budget must be positive, got {eps}")
     est_coeffs = _coeffs_on_true_parents(truth, estimate)
+    parent_covs = _resolve_parent_covs(truth, parent_covs)
     dag = truth.dag
-    cov_true = covariance(truth)
     total_edges = dag.num_edges
     denom = total_edges if total_edges > 0 else dag.n
     cond1 = np.empty(dag.n, dtype=bool)
@@ -371,7 +392,7 @@ def condition_predicates(truth: GaussianBayesNet, estimate: GaussianBayesNet, ep
         p = len(pa)
         sigma2 = float(truth.variances[i])
         delta = est_coeffs[i] - truth.coeffs[i]
-        quad = float(delta @ cov_true[np.ix_(pa, pa)] @ delta) if pa else 0.0
+        quad = float(delta @ parent_covs[i] @ delta) if pa else 0.0
         cond1[i] = abs(quad) <= sigma2 * (eps * p / denom)
         half_width = math.sqrt(eps * max(p, 1) / denom)
         est_var = float(estimate.variances[i])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gbnlearn.dag import build_dag, random_tree_dag
+from gbnlearn.dag import build_dag, random_er_dag, random_tree_dag
 from gbnlearn.errors import (
     BatchTooSmall,
     CholeskyFailed,
@@ -42,6 +42,17 @@ from gbnlearn.gbn import (
     random_gbn,
     sample,
 )
+
+
+def _block_with(value, where):
+    """A (40, 2) normal parent block and target with one cell set to ``value``."""
+    rng = np.random.default_rng(26)
+    x, y = rng.normal(size=(40, 2)), rng.normal(size=40)
+    if where == "parents":
+        x[3, 0] = value
+    else:
+        y[3] = value
+    return x, y
 
 
 def _exact_batches(values, k=2):
@@ -276,6 +287,14 @@ class TestCauchyEstTree:
         y2 = np.array([1.0, 2.0, 0.0])  # one 2x2 batch; third row dropped
         assert cauchy_est_tree_node(x2, y2) == pytest.approx([1.0, 2.0])
 
+    @pytest.mark.parametrize("where", ["parents", "target"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_input_rejected(self, where, value):
+        # Not hidden by the lstsq fallback of the square solves and the median.
+        x, y = _block_with(value, where)
+        with pytest.raises(InvalidParameter):
+            cauchy_est_tree_node(x, y)
+
     def test_insufficient(self):
         with pytest.raises(InsufficientSamples):
             cauchy_est_tree_node(np.ones((1, 2)), np.ones(1))
@@ -309,6 +328,13 @@ class TestCauchyEst:
         a = cauchy_est_node(x, y)
         b = cauchy_est_tree_node(x, y)
         assert a == pytest.approx(b, rel=1e-12)
+
+    @pytest.mark.parametrize("where", ["parents", "target"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_input_rejected(self, where, value):
+        x, y = _block_with(value, where)
+        with pytest.raises(InvalidParameter):
+            cauchy_est_node(x, y)
 
     def test_cholesky_failure_surfaces(self):
         col = np.array([1.0, 2.0, 3.0])
@@ -534,6 +560,23 @@ class TestFit:
         data[5, 0] = value
         with pytest.raises(InvalidParameter, match="^samples contain NaN or infinite"):
             fit(dag, data, FitConfig(method=method, batch_extra=5))
+
+    @pytest.mark.parametrize("method", COEFFICIENT_METHODS)
+    @pytest.mark.parametrize("variance_method", ["empirical", "mad"])
+    def test_column_and_row_major_samples_fit_identically(self, method, variance_method):
+        # sample() returns column-major data and load_samples() row-major
+        # data; both layouts must give the same bits.
+        rng = np.random.default_rng(27)
+        dag = random_er_dag(30, 3, rng)
+        truth = random_gbn(dag, (1.0, 2.0), UnitVariances(), rng)
+        data = sample(truth, 600, rng)
+        config = FitConfig(method=method, batch_extra=5, variance_method=variance_method)
+        a = fit_detailed(dag, data, config)
+        b = fit_detailed(dag, np.ascontiguousarray(data), config)
+        for ca, cb in zip(a.model.coeffs, b.model.coeffs):
+            assert np.array_equal(ca, cb)
+        assert np.array_equal(a.model.variances, b.model.variances)
+        assert a.degenerate_nodes == b.degenerate_nodes
 
     def test_wrong_width_rejected(self):
         dag = build_dag(2, [(0, 1)])

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from gbnlearn.dag import build_dag, random_er_dag, random_tree_dag, remove_random_edges
+from gbnlearn.datagen import ContaminationSpec
 from gbnlearn.errors import (
     DimensionMismatch,
     FileFormatError,
@@ -17,7 +18,6 @@ from gbnlearn.errors import (
     InvalidParameter,
     InvalidRange,
     NonPositiveVariance,
-    NoParents,
     NotPositiveDefinite,
     StructureMismatch,
 )
@@ -33,7 +33,7 @@ from gbnlearn.gbn import (
     kl_divergence,
     load_model,
     load_samples,
-    parent_covariance,
+    parent_covariances,
     random_gbn,
     sample,
     save_model,
@@ -138,6 +138,15 @@ class TestSampling:
         with pytest.raises(InvalidParameter):
             sample(_chain_model(), 0, np.random.default_rng(0))
 
+    def test_column_major_layout(self):
+        # Each node's column is contiguous, clean and contaminated alike.
+        rng = np.random.default_rng(9)
+        model = random_gbn(random_er_dag(12, 3, rng), (1.0, 2.0), UnitVariances(), rng)
+        spec = ContaminationSpec(sample_fraction=0.1, node_count=3, seed=5)
+        for x in (sample(model, 50, rng), sample(model, 50, rng, contamination=spec)):
+            assert x.shape == (50, 12)
+            assert x.flags["F_CONTIGUOUS"]
+
     def test_near_degenerate_noise_gives_near_zero_samples(self):
         dag = build_dag(1, [])
         model = GaussianBayesNet(dag, (np.zeros(0),), np.array([1e-30]))
@@ -183,16 +192,24 @@ class TestCovariance:
         model = GaussianBayesNet(
             dag, (np.zeros(0), np.array([2.0]), np.array([1.0, 1.0])), np.ones(3)
         )
-        m2 = parent_covariance(model, 2)
-        assert np.allclose(m2, [[1.0, 2.0], [2.0, 5.0]], atol=1e-15)
+        blocks = parent_covariances(model)
+        assert len(blocks) == 3
+        assert np.allclose(blocks[1], [[1.0]], atol=1e-15)
+        assert np.allclose(blocks[2], [[1.0, 2.0], [2.0, 5.0]], atol=1e-15)
 
-    def test_parent_covariance_root_raises(self):
-        with pytest.raises(NoParents):
-            parent_covariance(_chain_model(), 0)
+    def test_parent_covariances_root_is_none(self):
+        assert parent_covariances(_chain_model())[0] is None
 
-    def test_parent_covariance_bad_index(self):
-        with pytest.raises(InvalidIndex):
-            parent_covariance(_chain_model(), 7)
+    def test_parent_covariances_are_blocks_of_the_covariance(self):
+        rng = np.random.default_rng(14)
+        for _ in range(20):
+            truth, _ = _random_pair(rng)
+            cov = covariance(truth)
+            for pa, block in zip(truth.dag.parents, parent_covariances(truth)):
+                if pa:
+                    assert np.array_equal(block, cov[np.ix_(pa, pa)])
+                else:
+                    assert block is None
 
 
 class TestDcp:
@@ -333,6 +350,34 @@ class TestKlDivergence:
         report = kl_divergence(truth, est, condition_eps=0.5)
         assert report.per_node_dcp.tolist() == [0.0, 2.0]
         assert not bool(report.condition1_satisfied[1])
+
+    def test_precomputed_parent_covs_give_identical_report(self):
+        rng = np.random.default_rng(15)
+        for sub_dag in (False, True):
+            for _ in range(20):
+                truth, estimate = _random_pair(rng)
+                if sub_dag:
+                    fit_dag = remove_random_edges(truth.dag, int(rng.integers(0, truth.dag.num_edges + 1)), rng)
+                    estimate = random_gbn(fit_dag, (0.5, 1.5), UniformVariances(0.5, 2.0), rng)
+                blocks = parent_covariances(truth)
+                a = kl_divergence(truth, estimate, condition_eps=0.5)
+                b = kl_divergence(truth, estimate, condition_eps=0.5, parent_covs=blocks)
+                assert np.array_equal(a.per_node_dcp, b.per_node_dcp)
+                assert a.kl_total == b.kl_total and a.tv_upper == b.tv_upper
+                assert np.array_equal(a.condition1_satisfied, b.condition1_satisfied)
+                assert np.array_equal(a.condition2_satisfied, b.condition2_satisfied)
+                for c, d in zip(
+                    condition_predicates(truth, estimate, 0.5),
+                    condition_predicates(truth, estimate, 0.5, parent_covs=blocks),
+                ):
+                    assert np.array_equal(c, d)
+
+    def test_parent_covs_length_checked(self):
+        truth = _chain_model()
+        with pytest.raises(DimensionMismatch):
+            kl_divergence(truth, truth, parent_covs=[None])
+        with pytest.raises(DimensionMismatch):
+            condition_predicates(truth, truth, 0.5, parent_covs=[None])
 
     def test_conditions_none_without_eps(self):
         truth = _chain_model()
