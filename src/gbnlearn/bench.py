@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import re
 import time
 from dataclasses import dataclass
@@ -37,9 +36,6 @@ from .errors import (
     NotPositiveDefinite,
     RankDeficient,
 )
-
-RESULTS_HEADER = "method,graph,n,d,scenario,m,rep,seed,kl_total,tv_upper,fit_wall_ms,degenerate"
-SUMMARY_HEADER = "method,m,mean_kl,median_kl,iqr_kl,degenerate_count"
 
 _FLOAT_FMT = "%.17g"
 
@@ -170,6 +166,8 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigInvalid("repetitions must be >= 1")
     if config.base_seed < 0:
         raise ConfigInvalid("base_seed must be >= 0")
+    if isinstance(config.variances, gbn.IllConditionedVariances):
+        raise ConfigInvalid("ill-conditioned variances are asked for with the ill_conditioned scenario")
     sc = config.scenario
     if isinstance(sc, IllConditionedScenario):
         if (sc.node_count is None) == (sc.nodes is None):
@@ -222,17 +220,18 @@ def generate_rep_data(config: ExperimentConfig, rep: int) -> RepData:
     return RepData(truth=truth, fit_dag=fit_dag, data=data, seed=seed, rep=rep)
 
 
-def _evaluate_fit(rd: RepData, mspec: MethodSpec, m: int, parent_covs):
+def _evaluate_fit(rd: RepData, mspec: MethodSpec, m: int, truth_cov, parent_covs):
     """(kl_total or None, degenerate) for one method at one sample size.
 
-    ``parent_covs`` holds :func:`gbnlearn.gbn.parent_covariances` of the
-    repetition's truth, computed once for all of its cells.
+    ``truth_cov`` (the truth's joint covariance, or None when no method is
+    ``empirical_mle``) and ``parent_covs`` (its parent blocks) are computed
+    once per repetition.
     """
     data_m = rd.data[:m]
     try:
         if mspec.config.method == "empirical_mle":
             cov_hat = estimators.empirical_mle(data_m)
-            return gbn.gaussian_kl(gbn.covariance(rd.truth), cov_hat), False
+            return gbn.gaussian_kl(truth_cov, cov_hat), False
         outcome = estimators.fit_detailed(rd.fit_dag, data_m, mspec.config)
         if outcome.degenerate_nodes:
             return None, True
@@ -247,20 +246,19 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     graph_kind = config.graph.kind
     d_param = float(config.graph.degree) if graph_kind == "er" else 1.0
     scenario_name = config.scenario.KIND
+    keep_joint = any(ms.config.method == "empirical_mle" for ms in config.methods)
     rows: list[ResultRow] = []
     for rep in range(config.repetitions):
         rd = generate_rep_data(config, rep)
-        parent_covs = gbn.parent_covariances(rd.truth)
+        truth_cov = gbn.covariance(rd.truth)
+        parent_covs = gbn.parent_covariances(rd.truth.dag, truth_cov)
+        if not keep_joint:
+            truth_cov = None  # only the blocks stay alive through the cells
         for mspec in config.methods:
             for m in config.sample_sizes:
-                wall_ms = 0.0
-                if config.record_timing:
-                    t0 = time.perf_counter()
-                    kl, degenerate = _evaluate_fit(rd, mspec, m, parent_covs)
-                    wall_ms = (time.perf_counter() - t0) * 1000.0
-                else:
-                    kl, degenerate = _evaluate_fit(rd, mspec, m, parent_covs)
-                tv = None if kl is None else min(1.0, math.sqrt(max(kl, 0.0) / 2.0))
+                t0 = time.perf_counter()
+                kl, degenerate = _evaluate_fit(rd, mspec, m, truth_cov, parent_covs)
+                wall_ms = (time.perf_counter() - t0) * 1000.0 if config.record_timing else 0.0
                 rows.append(
                     ResultRow(
                         method=mspec.label,
@@ -272,7 +270,7 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
                         rep=rep,
                         seed=rd.seed,
                         kl_total=kl,
-                        tv_upper=tv,
+                        tv_upper=None if kl is None else gbn.tv_upper(kl),
                         fit_wall_ms=wall_ms,
                         degenerate=degenerate,
                     )
@@ -334,46 +332,22 @@ def _cell(value) -> str:
     return str(value)
 
 
-def render_results(rows: list[ResultRow]) -> str:
-    lines = [RESULTS_HEADER]
-    for r in rows:
-        lines.append(
-            ",".join(
-                _cell(v)
-                for v in (
-                    r.method,
-                    r.graph,
-                    r.n,
-                    r.d,
-                    r.scenario,
-                    r.m,
-                    r.rep,
-                    r.seed,
-                    r.kl_total,
-                    r.tv_upper,
-                    r.fit_wall_ms,
-                    r.degenerate,
-                )
-            )
-        )
+def _render_csv(row_type, rows) -> str:
+    # One column per dataclass field, in declaration order.
+    names = [f.name for f in dataclasses.fields(row_type)]
+    lines = [",".join(names)]
+    lines.extend(",".join(_cell(getattr(r, name)) for name in names) for r in rows)
     return "\n".join(lines) + "\n"
+
+
+def render_results(rows: list[ResultRow]) -> str:
+    """``results.csv`` text: a header of the :class:`ResultRow` fields, one line per row."""
+    return _render_csv(ResultRow, rows)
 
 
 def render_summary(summary: list[SummaryRow]) -> str:
-    lines = [SUMMARY_HEADER]
-    for s in summary:
-        lines.append(
-            ",".join(_cell(v) for v in (s.method, s.m, s.mean_kl, s.median_kl, s.iqr_kl, s.degenerate_count))
-        )
-    return "\n".join(lines) + "\n"
-
-
-def write_results_csv(rows: list[ResultRow], path) -> None:
-    Path(path).write_text(render_results(rows))
-
-
-def write_summary_csv(summary: list[SummaryRow], path) -> None:
-    Path(path).write_text(render_summary(summary))
+    """``summary.csv`` text: a header of the :class:`SummaryRow` fields, one line per row."""
+    return _render_csv(SummaryRow, summary)
 
 
 def _slug(label: str) -> str:
@@ -441,10 +415,6 @@ def _parse_variances(obj):
     if kind == "uniform":
         _check_keys(obj, ("kind", "low", "high"), "variances")
         return gbn.UniformVariances(low=float(_require(obj, "low", "variances")), high=float(_require(obj, "high", "variances")))
-    if kind == "ill_conditioned":
-        _check_keys(obj, ("kind", "nodes", "sigma2"), "variances")
-        nodes = tuple(int(v) for v in _require(obj, "nodes", "variances"))
-        return gbn.IllConditionedVariances(nodes=nodes, sigma2=float(obj.get("sigma2", 1e-20)))
     raise ConfigInvalid(f"variances: unknown kind {kind!r}")
 
 

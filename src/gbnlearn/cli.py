@@ -145,8 +145,8 @@ def _cmd_bench(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     rows = bench.run_experiment(config)
     summary = bench.summarize(rows)
-    bench.write_results_csv(rows, outdir / "results.csv")
-    bench.write_summary_csv(summary, outdir / "summary.csv")
+    (outdir / "results.csv").write_text(bench.render_results(rows))
+    (outdir / "summary.csv").write_text(bench.render_summary(summary))
     curve_paths = bench.write_curve_files(summary, outdir)
     print(f"wrote {len(rows)} rows to {outdir / 'results.csv'}")
     print(f"wrote {outdir / 'summary.csv'} and {len(curve_paths)} curve files")

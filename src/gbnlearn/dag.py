@@ -48,17 +48,6 @@ class Dag:
     def num_edges(self) -> int:
         return sum(len(p) for p in self.parents)
 
-    @property
-    def max_in_degree(self) -> int:
-        return max((len(p) for p in self.parents), default=0)
-
-    @property
-    def avg_in_degree(self) -> float:
-        return self.num_edges / self.n
-
-    def in_degree(self, i: int) -> int:
-        return len(self.parents[i])
-
     def edges(self) -> list[tuple[int, int]]:
         """All (parent, child) pairs in lexicographic order."""
         out = [(j, i) for i, pa in enumerate(self.parents) for j in pa]

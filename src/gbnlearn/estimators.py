@@ -212,10 +212,16 @@ def batch_solve(square_block: np.ndarray, target: np.ndarray) -> np.ndarray:
     return np.linalg.lstsq(x, y, rcond=None)[0]
 
 
-def _batch_solve_stack(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    # Vectorized solve over a (b, p, p) stack with per-batch fallback on
-    # singular or non-finite outcomes; bitwise identical to looping
-    # batch_solve since the same LAPACK routine runs per matrix.
+def _batch_solve_stack(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # Solutions of the floor(m / p) square batches of consecutive rows of
+    # an (m, p) block, trailing rows dropped. Vectorized solve over the
+    # (b, p, p) stack with per-batch fallback on singular or non-finite
+    # outcomes; bitwise identical to looping batch_solve since the same
+    # LAPACK routine runs per matrix.
+    m, p = x.shape
+    b = m // p
+    xs = x[: b * p].reshape(b, p, p)
+    ys = y[: b * p].reshape(b, p)
     try:
         sols = np.linalg.solve(xs, ys[..., None])[..., 0]
     except np.linalg.LinAlgError:
@@ -240,13 +246,9 @@ def cauchy_est_tree_node(parent_block: np.ndarray, target: np.ndarray) -> np.nda
     m, p = x.shape
     if p < 1:
         raise DimensionMismatch("node must have at least one parent")
-    b = m // p
-    if b < 1:
+    if m < p:
         raise InsufficientSamples(f"{m} rows cannot form a batch of {p}")
-    xs = x[: b * p].reshape(b, p, p)
-    ys = y[: b * p].reshape(b, p)
-    sols = _batch_solve_stack(xs, ys)
-    return np.median(sols, axis=0)
+    return np.median(_batch_solve_stack(x, y), axis=0)
 
 
 def cauchy_est_node(parent_block: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -270,11 +272,7 @@ def cauchy_est_node(parent_block: np.ndarray, target: np.ndarray) -> np.ndarray:
         ell = np.linalg.cholesky(mhat)
     except np.linalg.LinAlgError as exc:
         raise CholeskyFailed(f"empirical parent covariance is not positive definite: {exc}") from exc
-    b = m // p
-    xs = x[: b * p].reshape(b, p, p)
-    ys = y[: b * p].reshape(b, p)
-    sols = _batch_solve_stack(xs, ys)
-    whitened_median = np.median(sols @ ell, axis=0)
+    whitened_median = np.median(_batch_solve_stack(x, y) @ ell, axis=0)
     return scipy.linalg.solve_triangular(ell.T, whitened_median, lower=False)
 
 

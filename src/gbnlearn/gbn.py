@@ -79,17 +79,14 @@ class EvalReport:
 
     ``per_node_dcp[i]`` is node i's conditional KL contribution,
     ``kl_total`` their sum (ascending node order), and ``tv_upper`` the
-    total-variation bound ``min(1, sqrt(max(kl, 0) / 2))``. When an error
-    budget ``eps`` was supplied, the two per-node predicate arrays record
-    whether each node meets its share of the budget (coefficient error
-    and variance bracket respectively); otherwise they are None.
+    total-variation bound :func:`tv_upper` of ``kl_total``. The per-node
+    error-budget predicates are a separate call,
+    :func:`condition_predicates`.
     """
 
     per_node_dcp: np.ndarray
     kl_total: float
     tv_upper: float
-    condition1_satisfied: np.ndarray | None = None
-    condition2_satisfied: np.ndarray | None = None
 
 
 # --------------------------------------------------------------------------
@@ -231,21 +228,22 @@ def covariance(model: GaussianBayesNet) -> np.ndarray:
     return out
 
 
-def parent_covariances(model: GaussianBayesNet) -> list[np.ndarray | None]:
-    """Covariance of each node's parent vector under ``model``.
+def parent_covariances(dag: Dag, cov: np.ndarray) -> list[np.ndarray | None]:
+    """Each node's parent block of the joint covariance ``cov`` over ``dag``.
 
-    Entry ``i`` is the ``p_i x p_i`` block of :func:`covariance` on node
-    i's parents (ascending order), or None for a parentless node. The
-    joint covariance is computed once and only the blocks are kept, so a
-    caller scoring many fits against one truth can hold them cheaply.
+    Entry ``i`` is the ``p_i x p_i`` block of ``cov`` on node i's parents
+    (ascending order), or None for a parentless node. Pass
+    :func:`covariance` of a truth: a caller scoring many fits against one
+    truth computes it once and keeps only the blocks.
     """
-    cov = covariance(model)
-    return [cov[np.ix_(pa, pa)] if pa else None for pa in model.dag.parents]
+    if cov.shape != (dag.n, dag.n):
+        raise DimensionMismatch(f"expected a {dag.n}x{dag.n} covariance, got shape {cov.shape}")
+    return [cov[np.ix_(pa, pa)] if pa else None for pa in dag.parents]
 
 
 def _resolve_parent_covs(truth: GaussianBayesNet, parent_covs):
     if parent_covs is None:
-        return parent_covariances(truth)
+        return parent_covariances(truth.dag, covariance(truth))
     if len(parent_covs) != truth.dag.n:
         raise DimensionMismatch(f"expected {truth.dag.n} parent covariance blocks, got {len(parent_covs)}")
     return parent_covs
@@ -289,13 +287,15 @@ def dcp(true_coeffs, true_var: float, est_coeffs, est_var: float, parent_cov=Non
     )
 
 
-def kl_divergence(
-    truth: GaussianBayesNet,
-    estimate: GaussianBayesNet,
-    condition_eps: float | None = None,
-    *,
-    parent_covs=None,
-) -> EvalReport:
+def tv_upper(kl: float) -> float:
+    """Total-variation bound from a KL divergence, ``min(1, sqrt(max(kl, 0) / 2))``.
+
+    Pinsker's inequality; negative rounding residue in ``kl`` counts as 0.
+    """
+    return min(1.0, math.sqrt(max(kl, 0.0) / 2.0))
+
+
+def kl_divergence(truth: GaussianBayesNet, estimate: GaussianBayesNet, *, parent_covs=None) -> EvalReport:
     """Exact KL(truth || estimate) decomposed into per-node terms.
 
     The estimate may sit on the truth's DAG or on a sub-DAG of it: the
@@ -308,11 +308,10 @@ def kl_divergence(
     exact KL between the two conditionals of node i, so every term is
     nonnegative and the total equals the closed-form Gaussian KL between
     the two joint distributions. Any other pair of DAGs raises
-    StructureMismatch. Pass ``condition_eps`` to also evaluate the
-    per-node error-budget predicates (see :func:`condition_predicates`).
-    ``parent_covs`` takes the truth's :func:`parent_covariances`, so a
-    caller scoring many fits against one truth computes them once; when
-    omitted they are computed here.
+    StructureMismatch. ``parent_covs`` takes the truth's
+    :func:`parent_covariances`, so a caller scoring many fits against one
+    truth computes them once; when omitted they are computed here from
+    :func:`covariance`.
     """
     est_coeffs = _coeffs_on_true_parents(truth, estimate)
     parent_covs = _resolve_parent_covs(truth, parent_covs)
@@ -326,17 +325,7 @@ def kl_divergence(
         # Each term is a KL of conditionals, so the sum is nonnegative up
         # to rounding; anything below the floor is clamped, not hidden.
         kl_total = -KL_NEGATIVE_TOLERANCE
-    tv_upper = min(1.0, math.sqrt(max(kl_total, 0.0) / 2.0))
-    cond1 = cond2 = None
-    if condition_eps is not None:
-        cond1, cond2 = condition_predicates(truth, estimate, condition_eps, parent_covs=parent_covs)
-    return EvalReport(
-        per_node_dcp=per_node,
-        kl_total=kl_total,
-        tv_upper=tv_upper,
-        condition1_satisfied=cond1,
-        condition2_satisfied=cond2,
-    )
+    return EvalReport(per_node_dcp=per_node, kl_total=kl_total, tv_upper=tv_upper(kl_total))
 
 
 def _coeffs_on_true_parents(truth: GaussianBayesNet, estimate: GaussianBayesNet) -> tuple[np.ndarray, ...]:

@@ -94,7 +94,7 @@ def test_02_noiseless_recovery_is_exact():
         truth = random_gbn(dag, (1.0, 2.0), IllConditionedVariances(internal, 1e-30), rng)
         data = sample(truth, 800, rng)
         m1 = 400  # estimators below see the coefficient half of a 0.5 split
-        blocks = parent_covariances(truth)
+        blocks = parent_covariances(dag, covariance(truth))
         for i in internal:
             if np.linalg.cond(blocks[i]) >= 1e8:
                 continue

@@ -28,8 +28,6 @@ from gbnlearn.bench import (
     summarize,
     validate_config,
     write_curve_files,
-    write_results_csv,
-    write_summary_csv,
 )
 from gbnlearn.errors import ConfigInvalid, EmptyInput
 from gbnlearn.estimators import FitConfig
@@ -144,6 +142,14 @@ class TestParseConfig:
     def test_unknown_scenario_kind(self):
         with pytest.raises(ConfigInvalid):
             bench._parse_scenario({"kind": "byzantine"})
+
+    def test_ill_conditioned_variances_only_through_scenario(self):
+        obj = json.loads(json.dumps(FULL_JSON))
+        obj["variances"] = {"kind": "ill_conditioned", "nodes": [0, 1], "sigma2": 1e-18}
+        with pytest.raises(ConfigInvalid, match="ill_conditioned"):
+            parse_config(obj)
+        with pytest.raises(ConfigInvalid, match="ill_conditioned scenario"):
+            validate_config(_tiny_config(variances=gbn.IllConditionedVariances((0, 1), 1e-18)))
 
     def test_ill_conditioned_scenario_parses(self):
         sc = bench._parse_scenario({"kind": "ill_conditioned", "node_count": 2, "sigma2": 1e-18})
@@ -286,6 +292,28 @@ class TestRunExperiment:
         with pytest.raises(ConfigInvalid):
             run_experiment(_tiny_config(repetitions=0))
 
+    def test_truth_covariance_computed_once_per_rep(self, monkeypatch):
+        calls = []
+        real = gbn.covariance
+
+        def counting(model):
+            calls.append(model.dag.n)
+            return real(model)
+
+        monkeypatch.setattr(gbn, "covariance", counting)
+        cfg = _tiny_config(
+            graph=GraphSpec("er", 30, 3.0),
+            methods=(
+                MethodSpec("mle", FitConfig(method="empirical_mle")),
+                MethodSpec("ls", FitConfig(method="least_squares")),
+            ),
+            sample_sizes=(200, 400, 800),
+            repetitions=2,
+        )
+        rows = run_experiment(cfg)
+        assert len(rows) == 2 * 3 * 2 and not any(r.degenerate for r in rows)
+        assert calls == [30, 30]
+
     def test_empirical_mle_rows(self):
         cfg = _tiny_config(
             methods=(MethodSpec("mle", FitConfig(method="empirical_mle")),),
@@ -409,14 +437,19 @@ class TestSummarize:
 
 
 class TestCsvOutput:
-    def test_results_header_and_shape(self, tmp_path):
+    def test_results_header_and_shape(self):
         rows = run_experiment(_tiny_config())
-        path = tmp_path / "results.csv"
-        write_results_csv(rows, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == bench.RESULTS_HEADER
+        lines = render_results(rows).splitlines()
+        assert lines[0] == "method,graph,n,d,scenario,m,rep,seed,kl_total,tv_upper,fit_wall_ms,degenerate"
         assert len(lines) == 1 + len(rows)
         assert all(line.count(",") == 11 for line in lines)
+
+    def test_summary_header_and_shape(self):
+        summary = summarize(run_experiment(_tiny_config()))
+        lines = render_summary(summary).splitlines()
+        assert lines[0] == "method,m,mean_kl,median_kl,iqr_kl,degenerate_count"
+        assert len(lines) == 1 + len(summary)
+        assert all(line.count(",") == 5 for line in lines)
 
     def test_none_rendered_as_empty_and_bool_as_bit(self):
         row = TestSummarize._row("ls", 100, 0, None, degenerate=True)
@@ -439,8 +472,8 @@ class TestCsvOutput:
             repetitions=4,
         )
         rows = run_experiment(cfg)
-        write_results_csv(rows, tmp_path / "results.csv")
-        write_summary_csv(summarize(rows), tmp_path / "summary.csv")
+        (tmp_path / "results.csv").write_text(render_results(rows))
+        (tmp_path / "summary.csv").write_text(render_summary(summarize(rows)))
 
         def quartile(vals, q):
             vals = sorted(vals)

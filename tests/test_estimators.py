@@ -623,7 +623,7 @@ class TestErrorBudgetRegime:
         for seed in range(20):
             rng, dag, truth = self._tree_model(100 + seed)
             m1 = int(40 * self.N / self.EPS * math.log(self.N))
-            m2 = int(32 * self.N * dag.avg_in_degree / self.EPS * math.log(2 * self.N))
+            m2 = int(32 * self.N * (dag.num_edges / dag.n) / self.EPS * math.log(2 * self.N))
             data = sample(truth, m1 + m2, rng)
             coeffs = [
                 least_squares_node(data[:m1, dag.parents[i]], data[:m1, i])

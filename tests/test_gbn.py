@@ -38,6 +38,7 @@ from gbnlearn.gbn import (
     sample,
     save_model,
     save_samples,
+    tv_upper,
 )
 
 LN2 = math.log(2.0)
@@ -192,20 +193,26 @@ class TestCovariance:
         model = GaussianBayesNet(
             dag, (np.zeros(0), np.array([2.0]), np.array([1.0, 1.0])), np.ones(3)
         )
-        blocks = parent_covariances(model)
+        blocks = parent_covariances(dag, covariance(model))
         assert len(blocks) == 3
         assert np.allclose(blocks[1], [[1.0]], atol=1e-15)
         assert np.allclose(blocks[2], [[1.0, 2.0], [2.0, 5.0]], atol=1e-15)
 
     def test_parent_covariances_root_is_none(self):
-        assert parent_covariances(_chain_model())[0] is None
+        model = _chain_model()
+        assert parent_covariances(model.dag, covariance(model))[0] is None
+
+    def test_parent_covariances_shape_checked(self):
+        model = _chain_model()
+        with pytest.raises(DimensionMismatch):
+            parent_covariances(model.dag, np.eye(3))
 
     def test_parent_covariances_are_blocks_of_the_covariance(self):
         rng = np.random.default_rng(14)
         for _ in range(20):
             truth, _ = _random_pair(rng)
             cov = covariance(truth)
-            for pa, block in zip(truth.dag.parents, parent_covariances(truth)):
+            for pa, block in zip(truth.dag.parents, parent_covariances(truth.dag, cov)):
                 if pa:
                     assert np.array_equal(block, cov[np.ix_(pa, pa)])
                 else:
@@ -327,6 +334,8 @@ class TestKlDivergence:
         assert report.tv_upper == pytest.approx(
             min(1.0, math.sqrt(max(report.kl_total, 0.0) / 2.0)), abs=1e-15
         )
+        assert report.tv_upper == tv_upper(report.kl_total)
+        assert tv_upper(0.5) == 0.5 and tv_upper(-1e-12) == 0.0 and tv_upper(50.0) == 1.0
 
     def test_structure_mismatch(self):
         # Estimate edges the truth lacks (reversed, or added on top), and a
@@ -347,9 +356,9 @@ class TestKlDivergence:
         # Empty estimate DAG under the chain: node 1's term is a^2 Var(X_0) / 2.
         truth = _chain_model(a=2.0)
         est = GaussianBayesNet(build_dag(2, []), (np.zeros(0), np.zeros(0)), np.ones(2))
-        report = kl_divergence(truth, est, condition_eps=0.5)
+        report = kl_divergence(truth, est)
         assert report.per_node_dcp.tolist() == [0.0, 2.0]
-        assert not bool(report.condition1_satisfied[1])
+        assert not bool(condition_predicates(truth, est, 0.5)[0][1])
 
     def test_precomputed_parent_covs_give_identical_report(self):
         rng = np.random.default_rng(15)
@@ -359,13 +368,11 @@ class TestKlDivergence:
                 if sub_dag:
                     fit_dag = remove_random_edges(truth.dag, int(rng.integers(0, truth.dag.num_edges + 1)), rng)
                     estimate = random_gbn(fit_dag, (0.5, 1.5), UniformVariances(0.5, 2.0), rng)
-                blocks = parent_covariances(truth)
-                a = kl_divergence(truth, estimate, condition_eps=0.5)
-                b = kl_divergence(truth, estimate, condition_eps=0.5, parent_covs=blocks)
+                blocks = parent_covariances(truth.dag, covariance(truth))
+                a = kl_divergence(truth, estimate)
+                b = kl_divergence(truth, estimate, parent_covs=blocks)
                 assert np.array_equal(a.per_node_dcp, b.per_node_dcp)
                 assert a.kl_total == b.kl_total and a.tv_upper == b.tv_upper
-                assert np.array_equal(a.condition1_satisfied, b.condition1_satisfied)
-                assert np.array_equal(a.condition2_satisfied, b.condition2_satisfied)
                 for c, d in zip(
                     condition_predicates(truth, estimate, 0.5),
                     condition_predicates(truth, estimate, 0.5, parent_covs=blocks),
@@ -378,12 +385,6 @@ class TestKlDivergence:
             kl_divergence(truth, truth, parent_covs=[None])
         with pytest.raises(DimensionMismatch):
             condition_predicates(truth, truth, 0.5, parent_covs=[None])
-
-    def test_conditions_none_without_eps(self):
-        truth = _chain_model()
-        report = kl_divergence(truth, truth)
-        assert report.condition1_satisfied is None
-        assert report.condition2_satisfied is None
 
 
 class TestConditionPredicates:
@@ -418,12 +419,6 @@ class TestConditionPredicates:
         outside = GaussianBayesNet(truth.dag, truth.coeffs, np.array([2.0, 1.0]))
         _, c2 = condition_predicates(truth, outside, eps=0.5)
         assert not bool(c2[0])
-
-    def test_report_carries_conditions_when_eps_given(self):
-        truth = _chain_model()
-        report = kl_divergence(truth, truth, condition_eps=0.5)
-        assert report.condition1_satisfied.all()
-        assert report.condition2_satisfied.all()
 
     def test_bad_eps(self):
         truth = _chain_model()
