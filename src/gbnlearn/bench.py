@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import re
 import time
 from dataclasses import dataclass
@@ -29,15 +30,7 @@ import numpy as np
 
 from . import datagen, estimators, gbn
 from .dag import Dag, random_er_dag, random_tree_dag, remove_random_edges
-from .errors import (
-    CholeskyFailed,
-    ConfigInvalid,
-    EmptyInput,
-    NotPositiveDefinite,
-    RankDeficient,
-)
-
-_FLOAT_FMT = "%.17g"
+from .errors import ConfigInvalid, EmptyInput, InvalidSpec, NumericalError
 
 
 @dataclass(frozen=True)
@@ -150,8 +143,8 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigInvalid(f"unknown graph kind {g.kind!r}")
     if g.kind == "er" and (g.degree is None or not (0 < g.degree <= g.n)):
         raise ConfigInvalid(f"er graph needs 0 < degree <= n, got {g.degree!r}")
-    if g.kind == "tree" and g.n < 2:
-        raise ConfigInvalid("tree graph needs n >= 2")
+    if g.kind == "tree" and (g.n < 2 or g.degree is not None):
+        raise ConfigInvalid(f"tree graph needs n >= 2 and takes no degree, got {g}")
     if not config.methods:
         raise ConfigInvalid("at least one method is required")
     labels = [ms.label for ms in config.methods]
@@ -172,8 +165,17 @@ def validate_config(config: ExperimentConfig) -> None:
     if isinstance(sc, IllConditionedScenario):
         if (sc.node_count is None) == (sc.nodes is None):
             raise ConfigInvalid("ill_conditioned scenario needs exactly one of node_count / nodes")
+        if not 0 <= (sc.node_count or 0) <= g.n or not all(0 <= v < g.n for v in sc.nodes or ()):
+            raise ConfigInvalid(f"ill_conditioned node_count / nodes out of range for n = {g.n}: {sc}")
+        if not sc.sigma2 > 0:
+            raise ConfigInvalid(f"ill_conditioned sigma2 must be > 0, got {sc.sigma2}")
         if not isinstance(config.variances, gbn.UnitVariances):
             raise ConfigInvalid("ill_conditioned scenario requires unit variances")
+    if isinstance(sc, ContaminatedScenario):
+        try:
+            sc.spec.validate(g.n)
+        except InvalidSpec as exc:
+            raise ConfigInvalid(f"contaminated scenario: {exc}") from exc
     if isinstance(sc, AgnosticScenario) and sc.remove_edges < 0:
         raise ConfigInvalid("remove_edges must be >= 0")
 
@@ -236,7 +238,7 @@ def _evaluate_fit(rd: RepData, mspec: MethodSpec, m: int, truth_cov, parent_covs
         if outcome.degenerate_nodes:
             return None, True
         return gbn.kl_divergence(rd.truth, outcome.model, parent_covs=parent_covs).kl_total, False
-    except (CholeskyFailed, RankDeficient, NotPositiveDefinite):
+    except NumericalError:
         return None, True
 
 
@@ -328,7 +330,7 @@ def _cell(value) -> str:
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, float):
-        return _FLOAT_FMT % value
+        return gbn.FLOAT_FMT % value
     return str(value)
 
 
@@ -375,89 +377,111 @@ def write_curve_files(summary: list[SummaryRow], outdir) -> list[Path]:
 # JSON config parsing
 
 
-def _check_keys(obj: dict, allowed, context: str) -> None:
-    unknown = set(obj) - set(allowed)
+def _int(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _str(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, got {value!r}")
+    return value
+
+
+def _bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _tuple_of(item, length=None):
+    """Converter for a JSON list (of ``length`` entries, if given) whose entries pass ``item``."""
+
+    def convert(value):
+        if not isinstance(value, list) or length not in (None, len(value)):
+            shape = "a list" if length is None else f"a list of {length} entries"
+            raise ValueError(f"expected {shape}, got {value!r}")
+        return tuple(item(v) for v in value)
+
+    return convert
+
+
+def _fields(obj, context: str, required, converters) -> dict:
+    """The keys present in JSON object ``obj``, each through its converter.
+
+    A non-object, an unknown key, a missing required key, or a value its
+    converter refuses (ValueError, OverflowError, InvalidSpec) raises
+    ConfigInvalid. Absent keys stay absent, so the dataclass defaults are
+    the only defaults.
+    """
+    if not isinstance(obj, dict):
+        raise ConfigInvalid(f"{context} must be an object, got {obj!r}")
+    unknown = set(obj) - set(converters)
     if unknown:
         raise ConfigInvalid(f"{context}: unknown keys {sorted(unknown)}")
+    missing = [key for key in required if key not in obj]
+    if missing:
+        raise ConfigInvalid(f"{context}: missing required keys {missing}")
+    out = {}
+    for key, value in obj.items():
+        try:
+            out[key] = converters[key](value)
+        except (ValueError, OverflowError, InvalidSpec) as exc:
+            raise ConfigInvalid(f"{context}.{key}: {exc}") from exc
+    return out
 
 
-def _require(obj: dict, key: str, context: str):
-    if key not in obj:
-        raise ConfigInvalid(f"{context}: missing required key {key!r}")
-    return obj[key]
+def _by_kind(context: str, kinds: dict):
+    """Converter for an object whose ``kind`` picks ``(build, required, converters)`` from ``kinds``."""
+
+    def convert(obj):
+        kind = obj.get("kind") if isinstance(obj, dict) else None
+        if not isinstance(kind, str) or kind not in kinds:
+            raise ConfigInvalid(f"{context}: expected an object with kind in {sorted(kinds)}, got {obj!r}")
+        build, required, converters = kinds[kind]
+        fields = _fields(obj, context, required, {"kind": _str, **converters})
+        del fields["kind"]
+        return build(**fields)
+
+    return convert
 
 
-def _parse_graph(obj) -> GraphSpec:
-    if not isinstance(obj, dict):
-        raise ConfigInvalid("graph must be an object")
-    _check_keys(obj, ("kind", "n", "degree"), "graph")
-    kind = _require(obj, "kind", "graph")
-    n = _require(obj, "n", "graph")
-    if not isinstance(n, int):
-        raise ConfigInvalid("graph.n must be an integer")
-    degree = obj.get("degree")
-    if kind == "er" and degree is None:
-        raise ConfigInvalid("er graph requires a degree")
-    if kind == "tree" and degree is not None:
-        raise ConfigInvalid("tree graph takes no degree")
-    return GraphSpec(kind=kind, n=n, degree=float(degree) if degree is not None else None)
+def _law(obj) -> datagen.NoiseLaw:
+    return datagen.NoiseLaw(**_fields(obj, "scenario.law", (), {"kind": _str, "location": _number, "scale": _number}))
 
 
-def _parse_variances(obj):
-    if obj is None:
-        return gbn.UnitVariances()
-    if not isinstance(obj, dict):
-        raise ConfigInvalid("variances must be an object")
-    kind = _require(obj, "kind", "variances")
-    if kind == "unit":
-        _check_keys(obj, ("kind",), "variances")
-        return gbn.UnitVariances()
-    if kind == "uniform":
-        _check_keys(obj, ("kind", "low", "high"), "variances")
-        return gbn.UniformVariances(low=float(_require(obj, "low", "variances")), high=float(_require(obj, "high", "variances")))
-    raise ConfigInvalid(f"variances: unknown kind {kind!r}")
+def _contaminated(**fields) -> ContaminatedScenario:
+    if "law" in fields:
+        fields["noise_law"] = fields.pop("law")
+    return ContaminatedScenario(datagen.ContaminationSpec(**fields))
 
 
-def _parse_law(obj) -> datagen.NoiseLaw:
-    if obj is None:
-        return datagen.NoiseLaw()
-    _check_keys(obj, ("kind", "location", "scale"), "scenario.law")
-    return datagen.NoiseLaw(
-        kind=obj.get("kind", "gaussian"),
-        location=float(obj.get("location", 1000.0)),
-        scale=float(obj.get("scale", 1.0)),
-    )
+_SCENARIO_KINDS = {
+    CleanScenario.KIND: (CleanScenario, (), {}),
+    ContaminatedScenario.KIND: (_contaminated, (), {"sample_fraction": _number, "node_count": _int, "law": _law}),
+    IllConditionedScenario.KIND: (
+        IllConditionedScenario,
+        (),
+        {"sigma2": _number, "node_count": _int, "nodes": _tuple_of(_int)},
+    ),
+    AgnosticScenario.KIND: (AgnosticScenario, ("remove_edges",), {"remove_edges": _int}),
+}
+
+_VARIANCE_KINDS = {
+    "unit": (gbn.UnitVariances, (), {}),
+    "uniform": (gbn.UniformVariances, ("low", "high"), {"low": _number, "high": _number}),
+}
 
 
-def _parse_scenario(obj):
-    if obj is None:
-        return CleanScenario()
-    if not isinstance(obj, dict):
-        raise ConfigInvalid("scenario must be an object")
-    kind = _require(obj, "kind", "scenario")
-    if kind == "clean":
-        _check_keys(obj, ("kind",), "scenario")
-        return CleanScenario()
-    if kind == "contaminated":
-        _check_keys(obj, ("kind", "sample_fraction", "node_count", "law"), "scenario")
-        spec = datagen.ContaminationSpec(
-            sample_fraction=float(obj.get("sample_fraction", 0.05)),
-            node_count=int(obj.get("node_count", 5)),
-            noise_law=_parse_law(obj.get("law")),
-        )
-        return ContaminatedScenario(spec=spec)
-    if kind == "ill_conditioned":
-        _check_keys(obj, ("kind", "sigma2", "node_count", "nodes"), "scenario")
-        nodes = obj.get("nodes")
-        return IllConditionedScenario(
-            sigma2=float(obj.get("sigma2", 1e-20)),
-            node_count=obj.get("node_count"),
-            nodes=tuple(int(v) for v in nodes) if nodes is not None else None,
-        )
-    if kind == "agnostic":
-        _check_keys(obj, ("kind", "remove_edges"), "scenario")
-        return AgnosticScenario(remove_edges=int(_require(obj, "remove_edges", "scenario")))
-    raise ConfigInvalid(f"scenario: unknown kind {kind!r}")
+def _graph(obj) -> GraphSpec:
+    return GraphSpec(**_fields(obj, "graph", ("kind", "n"), {"kind": _str, "n": _int, "degree": _number}))
 
 
 def _default_label(cfg: estimators.FitConfig) -> str:
@@ -469,61 +493,31 @@ def _default_label(cfg: estimators.FitConfig) -> str:
     return label
 
 
-def _parse_method(obj) -> MethodSpec:
-    if not isinstance(obj, dict):
-        raise ConfigInvalid("each methods[] entry must be an object")
-    _check_keys(
-        obj,
-        ("method", "batch_extra", "split_fraction", "variance_method", "label"),
-        "methods[]",
-    )
-    kwargs = {}
-    if "batch_extra" in obj:
-        kwargs["batch_extra"] = int(obj["batch_extra"])
-    if "split_fraction" in obj:
-        kwargs["split_fraction"] = float(obj["split_fraction"])
-    if "variance_method" in obj:
-        kwargs["variance_method"] = str(obj["variance_method"])
-    cfg = estimators.FitConfig(method=str(_require(obj, "method", "methods[]")), **kwargs)
-    return MethodSpec(label=str(obj.get("label", _default_label(cfg))), config=cfg)
+def _method(obj) -> MethodSpec:
+    keys = {"method": _str, "batch_extra": _int, "split_fraction": _number, "variance_method": _str, "label": _str}
+    fields = _fields(obj, "methods[]", ("method",), keys)
+    label = fields.pop("label", None)
+    cfg = estimators.FitConfig(**fields)
+    return MethodSpec(label=_default_label(cfg) if label is None else label, config=cfg)
+
+
+_CONFIG_KEYS = {
+    "graph": _graph,
+    "weight_range": _tuple_of(_number, length=2),
+    "variances": _by_kind("variances", _VARIANCE_KINDS),
+    "scenario": _by_kind("scenario", _SCENARIO_KINDS),
+    "methods": _tuple_of(_method),
+    "sample_sizes": _tuple_of(_int),
+    "repetitions": _int,
+    "base_seed": _int,
+    "record_timing": _bool,
+}
 
 
 def parse_config(obj: dict) -> ExperimentConfig:
     """Build and validate an :class:`ExperimentConfig` from parsed JSON."""
-    if not isinstance(obj, dict):
-        raise ConfigInvalid("config must be a JSON object")
-    _check_keys(
-        obj,
-        (
-            "graph",
-            "weight_range",
-            "variances",
-            "scenario",
-            "methods",
-            "sample_sizes",
-            "repetitions",
-            "base_seed",
-            "record_timing",
-        ),
-        "config",
-    )
-    methods_obj = _require(obj, "methods", "config")
-    if not isinstance(methods_obj, list):
-        raise ConfigInvalid("methods must be a list")
-    wr = obj.get("weight_range", [1.0, 2.0])
-    if not (isinstance(wr, (list, tuple)) and len(wr) == 2):
-        raise ConfigInvalid("weight_range must be a [lo, hi] pair")
-    config = ExperimentConfig(
-        graph=_parse_graph(_require(obj, "graph", "config")),
-        weight_range=(float(wr[0]), float(wr[1])),
-        variances=_parse_variances(obj.get("variances")),
-        scenario=_parse_scenario(obj.get("scenario")),
-        methods=tuple(_parse_method(mo) for mo in methods_obj),
-        sample_sizes=tuple(int(s) for s in _require(obj, "sample_sizes", "config")),
-        repetitions=int(_require(obj, "repetitions", "config")),
-        base_seed=int(_require(obj, "base_seed", "config")),
-        record_timing=bool(obj.get("record_timing", False)),
-    )
+    required = ("graph", "methods", "sample_sizes", "repetitions", "base_seed")
+    config = ExperimentConfig(**_fields(obj, "config", required, _CONFIG_KEYS))
     validate_config(config)
     return config
 
@@ -532,6 +526,6 @@ def load_config(path) -> ExperimentConfig:
     """Read and validate a JSON experiment config file."""
     try:
         obj = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON or text that is not UTF-8
         raise ConfigInvalid(f"{path}: invalid JSON: {exc}") from exc
     return parse_config(obj)

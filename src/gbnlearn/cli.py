@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 from pathlib import Path
 
@@ -25,8 +24,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
-
-OUTPUT_DIR_ENV = "GBNLEARN_OUT_DIR"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -42,7 +39,9 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--degree", type=float, default=None, help="expected degree (er only)")
     g.add_argument("--samples", type=int, required=True, help="number of rows to draw")
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--weight-range", nargs=2, type=float, default=(1.0, 2.0), metavar=("LO", "HI"))
+    g.add_argument(
+        "--weight-range", nargs=2, type=float, default=bench.ExperimentConfig.weight_range, metavar=("LO", "HI")
+    )
     g.add_argument(
         "--variances",
         default="unit",
@@ -54,9 +53,12 @@ def _build_parser() -> argparse.ArgumentParser:
     f.add_argument("--dag", required=True, help="DAG file")
     f.add_argument("--samples", required=True, help="samples CSV")
     f.add_argument("--method", choices=estimators.COEFFICIENT_METHODS, required=True)
-    f.add_argument("--batch-extra", type=int, default=20)
-    f.add_argument("--split", type=float, default=0.5)
-    f.add_argument("--variance-method", choices=estimators.VARIANCE_METHODS, default="empirical")
+    # Defaults are FitConfig's own.
+    f.add_argument("--batch-extra", type=int, default=estimators.FitConfig.batch_extra)
+    f.add_argument("--split", type=float, default=estimators.FitConfig.split_fraction)
+    f.add_argument(
+        "--variance-method", choices=estimators.VARIANCE_METHODS, default=estimators.FitConfig.variance_method
+    )
     f.add_argument("--out", required=True, help="output model file")
 
     e = sub.add_parser("eval", help="score an estimated model against the truth")
@@ -66,26 +68,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bench", help="run a config-driven sweep")
     b.add_argument("--config", required=True, help="experiment config JSON")
-    b.add_argument("--out", default=None, help="output directory")
+    b.add_argument("--out", default="bench_out", help="output directory")
     b.add_argument("--seed", type=int, default=None, help="override the config's base_seed")
     return parser
 
 
 def _parse_variances(text: str):
-    if text == "unit":
-        return gbn.UnitVariances()
-    if text.startswith("uniform:"):
-        parts = text[len("uniform:") :].split(",")
-        if len(parts) != 2:
-            raise ConfigInvalid(f"bad variances spec {text!r}; expected uniform:LO,HI")
-        return gbn.UniformVariances(low=float(parts[0]), high=float(parts[1]))
-    if text.startswith("ill:"):
-        parts = text[len("ill:") :].split(":")
-        if len(parts) != 2:
-            raise ConfigInvalid(f"bad variances spec {text!r}; expected ill:NODES:SIGMA2")
-        nodes = tuple(int(v) for v in parts[0].split(",") if v)
-        return gbn.IllConditionedVariances(nodes=nodes, sigma2=float(parts[1]))
-    raise ConfigInvalid(f"bad variances spec {text!r}")
+    kind, _, rest = text.partition(":")
+    try:
+        if text == "unit":
+            return gbn.UnitVariances()
+        if kind == "uniform" and rest.count(",") == 1:
+            low, high = rest.split(",")
+            return gbn.UniformVariances(low=float(low), high=float(high))
+        if kind == "ill" and rest.count(":") == 1:
+            nodes, sigma2 = rest.split(":")
+            return gbn.IllConditionedVariances(tuple(int(v) for v in nodes.split(",") if v), float(sigma2))
+    except ValueError as exc:  # a number that does not parse
+        raise ConfigInvalid(f"bad variances spec {text!r}: {exc}") from exc
+    raise ConfigInvalid(f"bad variances spec {text!r}; expected unit, uniform:LO,HI or ill:NODES:SIGMA2")
 
 
 def _cmd_generate(args) -> int:
@@ -128,11 +129,11 @@ def _cmd_eval(args) -> int:
     truth = gbn.load_model(args.truth)
     estimate = gbn.load_model(args.estimate)
     report = gbn.kl_divergence(truth, estimate)
-    print(f"kl_total {report.kl_total:.17g}")
-    print(f"tv_upper {report.tv_upper:.17g}")
+    print(f"kl_total {gbn.FLOAT_FMT % report.kl_total}")
+    print(f"tv_upper {gbn.FLOAT_FMT % report.tv_upper}")
     if args.per_node:
         for i, v in enumerate(report.per_node_dcp):
-            print(f"dcp {i} {v:.17g}")
+            print(f"dcp {i} {gbn.FLOAT_FMT % v}")
     return EXIT_OK
 
 
@@ -141,7 +142,7 @@ def _cmd_bench(args) -> int:
     if args.seed is not None:
         config = dataclasses.replace(config, base_seed=args.seed)
         bench.validate_config(config)
-    outdir = Path(args.out or os.environ.get(OUTPUT_DIR_ENV) or "bench_out")
+    outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     rows = bench.run_experiment(config)
     summary = bench.summarize(rows)

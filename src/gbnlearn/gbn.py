@@ -111,7 +111,7 @@ class IllConditionedVariances:
     """Listed nodes get a near-degenerate variance, all others get 1."""
 
     nodes: tuple[int, ...]
-    sigma2: float = 1e-20
+    sigma2: float
 
 
 def random_gbn(dag: Dag, weight_range, variance_spec, rng: np.random.Generator) -> GaussianBayesNet:
@@ -422,16 +422,18 @@ def gaussian_kl(sigma_p: np.ndarray, sigma_q: np.ndarray) -> float:
 # --------------------------------------------------------------------------
 # file formats
 
-_FLOAT_FMT = "%.17g"
+# Every float written to a file or printed by the CLI: 17 significant
+# digits, enough to round-trip an IEEE double.
+FLOAT_FMT = "%.17g"
 
 
 def save_model(model: GaussianBayesNet, path) -> None:
     """Write ``node i sigma2 v`` and ``coef i j v`` lines (17 significant digits)."""
     lines = []
     for i in range(model.dag.n):
-        lines.append(f"node {i} sigma2 {_FLOAT_FMT % model.variances[i]}")
+        lines.append(f"node {i} sigma2 {FLOAT_FMT % model.variances[i]}")
         for j, a in zip(model.dag.parents[i], model.coeffs[i]):
-            lines.append(f"coef {i} {j} {_FLOAT_FMT % a}")
+            lines.append(f"coef {i} {j} {FLOAT_FMT % a}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -480,7 +482,7 @@ def save_samples(data: np.ndarray, path) -> None:
     arr = np.asarray(data, dtype=float)
     if arr.ndim != 2:
         raise DimensionMismatch(f"samples must be a 2-d array, got shape {arr.shape}")
-    np.savetxt(path, arr, fmt=_FLOAT_FMT, delimiter=",")
+    np.savetxt(path, arr, fmt=FLOAT_FMT, delimiter=",")
 
 
 def load_samples(path) -> np.ndarray:

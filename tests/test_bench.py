@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gbnlearn import bench, estimators, gbn
+from gbnlearn import bench, datagen, estimators, gbn
 from gbnlearn.bench import (
     AgnosticScenario,
     CleanScenario,
@@ -31,6 +31,45 @@ from gbnlearn.bench import (
 )
 from gbnlearn.errors import ConfigInvalid, EmptyInput
 from gbnlearn.estimators import FitConfig
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+MINIMAL_JSON = {
+    "graph": {"kind": "tree", "n": 5},
+    "methods": [{"method": "least_squares"}],
+    "sample_sizes": [100],
+    "repetitions": 1,
+    "base_seed": 0,
+}
+
+
+def _parse_minimal(**keys):
+    return parse_config({**MINIMAL_JSON, **keys})
+
+
+def _contaminated(**keys):
+    return {"scenario": {"kind": "contaminated", **keys}}
+
+
+def _ill_conditioned(**keys):
+    return {"scenario": {"kind": "ill_conditioned", **keys}}
+
+
+# Malformed values, each applied to configs/clean_er.json (ER n = 100).
+MALFORMED = [
+    pytest.param(_contaminated(law=5), id="law_number"),
+    pytest.param(_contaminated(law=["kind"]), id="law_list"),
+    pytest.param(_contaminated(sample_fraction="x"), id="sample_fraction_string"),
+    pytest.param({"sample_sizes": 5}, id="sample_sizes_scalar"),
+    pytest.param({"repetitions": "x"}, id="repetitions_string"),
+    pytest.param({"repetitions": 2.7}, id="repetitions_fraction"),
+    pytest.param({"methods": [{"method": "batch_avg", "batch_extra": "x"}]}, id="batch_extra_string"),
+    pytest.param({"weight_range": ["a", 2]}, id="weight_range_string"),
+    pytest.param({"record_timing": "false"}, id="record_timing_string"),
+    pytest.param(_ill_conditioned(node_count="2"), id="ill_node_count_string"),
+    pytest.param(_ill_conditioned(node_count=500), id="ill_node_count_above_n"),
+]
 
 
 def _tiny_config(**overrides):
@@ -88,15 +127,7 @@ class TestParseConfig:
         assert labels == ["least_squares", "batch_avg_x5", "batch_med_x20_mad", "whitened"]
 
     def test_minimal_config_defaults(self):
-        cfg = parse_config(
-            {
-                "graph": {"kind": "tree", "n": 5},
-                "methods": [{"method": "least_squares"}],
-                "sample_sizes": [100],
-                "repetitions": 1,
-                "base_seed": 0,
-            }
-        )
+        cfg = _parse_minimal()
         assert cfg.weight_range == (1.0, 2.0)
         assert cfg.variances == gbn.UnitVariances()
         assert isinstance(cfg.scenario, CleanScenario)
@@ -127,11 +158,11 @@ class TestParseConfig:
 
     def test_er_graph_needs_degree(self):
         with pytest.raises(ConfigInvalid, match="degree"):
-            bench._parse_graph({"kind": "er", "n": 10})
+            _parse_minimal(graph={"kind": "er", "n": 10})
 
     def test_tree_graph_takes_no_degree(self):
-        with pytest.raises(ConfigInvalid):
-            bench._parse_graph({"kind": "tree", "n": 10, "degree": 2.0})
+        with pytest.raises(ConfigInvalid, match="degree"):
+            _parse_minimal(graph={"kind": "tree", "n": 10, "degree": 2.0})
 
     def test_methods_must_be_list(self):
         obj = json.loads(json.dumps(FULL_JSON))
@@ -141,7 +172,7 @@ class TestParseConfig:
 
     def test_unknown_scenario_kind(self):
         with pytest.raises(ConfigInvalid):
-            bench._parse_scenario({"kind": "byzantine"})
+            _parse_minimal(scenario={"kind": "byzantine"})
 
     def test_ill_conditioned_variances_only_through_scenario(self):
         obj = json.loads(json.dumps(FULL_JSON))
@@ -152,11 +183,25 @@ class TestParseConfig:
             validate_config(_tiny_config(variances=gbn.IllConditionedVariances((0, 1), 1e-18)))
 
     def test_ill_conditioned_scenario_parses(self):
-        sc = bench._parse_scenario({"kind": "ill_conditioned", "node_count": 2, "sigma2": 1e-18})
-        assert sc == IllConditionedScenario(sigma2=1e-18, node_count=2)
+        cfg = _parse_minimal(**_ill_conditioned(node_count=2, sigma2=1e-18))
+        assert cfg.scenario == IllConditionedScenario(sigma2=1e-18, node_count=2)
 
     def test_agnostic_scenario_parses(self):
-        assert bench._parse_scenario({"kind": "agnostic", "remove_edges": 3}) == AgnosticScenario(3)
+        cfg = _parse_minimal(scenario={"kind": "agnostic", "remove_edges": 3})
+        assert cfg.scenario == AgnosticScenario(3)
+
+    def test_absent_keys_take_the_dataclass_defaults(self):
+        assert _parse_minimal(**_contaminated()).scenario == ContaminatedScenario()
+        law = _parse_minimal(**_contaminated(law={})).scenario.spec.noise_law
+        assert law == datagen.NoiseLaw()
+        assert _parse_minimal().methods[0].config == FitConfig(method="least_squares")
+
+    @pytest.mark.parametrize("change", MALFORMED)
+    def test_malformed_value_is_config_invalid(self, change):
+        obj = json.loads((ROOT / "configs" / "clean_er.json").read_text())
+        obj.update(change)
+        with pytest.raises(ConfigInvalid):
+            parse_config(obj)
 
     def test_load_config_rejects_bad_json(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -169,10 +214,17 @@ class TestParseConfig:
         path.write_text(json.dumps(FULL_JSON))
         assert load_config(path) == parse_config(json.loads(json.dumps(FULL_JSON)))
 
-    @pytest.mark.parametrize("name", ["clean_er", "contaminated_tree", "agnostic_er"])
+    @pytest.mark.parametrize(
+        "name",
+        ["clean_er", "contaminated_tree", "agnostic_er"]
+        + [f"perfbench/{p.stem}" for p in sorted((ROOT / "perfbench" / "configs").glob("*.json"))],
+    )
     def test_shipped_presets_are_valid(self, name):
-        path = Path(__file__).resolve().parent.parent / "configs" / f"{name}.json"
-        cfg = load_config(path)
+        if name.startswith("perfbench/"):
+            # The benchmark's own copies: only read here.
+            load_config(ROOT / "perfbench" / "configs" / f"{name.split('/')[1]}.json")
+            return
+        cfg = load_config(ROOT / "configs" / f"{name}.json")
         assert cfg.graph.n == 100
         assert len(cfg.methods) == 5
         assert cfg.repetitions == 20
@@ -217,6 +269,24 @@ class TestValidateConfig:
         for kwargs in ({}, {"node_count": 2, "nodes": (0,)}):
             with pytest.raises(ConfigInvalid):
                 validate_config(_tiny_config(scenario=IllConditionedScenario(**kwargs)))
+
+    def test_tree_takes_no_degree(self):
+        with pytest.raises(ConfigInvalid, match="degree"):
+            validate_config(_tiny_config(graph=GraphSpec("tree", 10, 3.0)))
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            IllConditionedScenario(node_count=7),
+            IllConditionedScenario(nodes=(0, 6)),
+            IllConditionedScenario(nodes=(-1,)),
+            ContaminatedScenario(datagen.ContaminationSpec(node_count=7)),
+        ],
+    )
+    def test_scenario_nodes_checked_against_n(self, scenario):
+        # _tiny_config's tree has n = 6.
+        with pytest.raises(ConfigInvalid):
+            validate_config(_tiny_config(scenario=scenario))
 
     def test_ill_conditioned_requires_unit_variances(self):
         cfg = _tiny_config(

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import gbnlearn
-from gbnlearn import gbn
+from gbnlearn import estimators, gbn
 from gbnlearn.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, cli
 from gbnlearn.dag import build_dag, read_dag_file, write_dag_file
 
@@ -81,6 +81,14 @@ class TestGenerate:
             ["generate", "--graph", "tree", "--nodes", "4", "--samples", "10", "--variances", "chaos", "--out", str(tmp_path)]
         )
         assert code == EXIT_DATA
+
+    @pytest.mark.parametrize("spec", ["uniform:a,b", "ill:x:1e-20", "ill:1,2:abc"])
+    def test_variances_spec_with_bad_number(self, tmp_path, spec, capsys):
+        code = cli(
+            ["generate", "--graph", "tree", "--nodes", "4", "--samples", "10", "--variances", spec, "--out", str(tmp_path)]
+        )
+        assert code == EXIT_DATA
+        assert "bad variances spec" in capsys.readouterr().err
 
     def test_deterministic_for_fixed_seed(self, tmp_path):
         a = tmp_path / "a"
@@ -156,6 +164,20 @@ class TestFitAndEval:
             code = cli(["fit", "--dag", str(dag_path), "--samples", str(samples_path), "--method", method, "--out", str(est_path)])
             assert code == EXIT_OK, method
             assert est_path.exists()
+
+    def test_fit_flag_defaults_are_fit_config_defaults(self, tmp_path, monkeypatch):
+        dag_path, _, samples_path = _generate(tmp_path)
+        seen = []
+        real_fit = estimators.fit
+
+        def recording_fit(dag, data, config):
+            seen.append(config)
+            return real_fit(dag, data, config)
+
+        monkeypatch.setattr(estimators, "fit", recording_fit)
+        argv = ["fit", "--dag", str(dag_path), "--samples", str(samples_path), "--method", "batch_med"]
+        assert cli(argv + ["--out", str(tmp_path / "est.txt")]) == EXIT_OK
+        assert seen == [estimators.FitConfig(method="batch_med")]
 
     def test_fit_mad_variances(self, tmp_path):
         dag_path, _, samples_path = _generate(tmp_path)
@@ -250,21 +272,6 @@ class TestBench:
         assert cli(["bench", "--config", str(cfg), "--out", str(out2)]) == EXIT_OK
         assert (out1 / "results.csv").read_text() != (out2 / "results.csv").read_text()
 
-    def test_out_dir_env_var(self, tmp_path, monkeypatch):
-        cfg = self._write_config(tmp_path)
-        outdir = tmp_path / "from_env"
-        monkeypatch.setenv("GBNLEARN_OUT_DIR", str(outdir))
-        assert cli(["bench", "--config", str(cfg)]) == EXIT_OK
-        assert (outdir / "results.csv").exists()
-
-    def test_out_flag_beats_env_var(self, tmp_path, monkeypatch):
-        cfg = self._write_config(tmp_path)
-        monkeypatch.setenv("GBNLEARN_OUT_DIR", str(tmp_path / "env"))
-        outdir = tmp_path / "flag"
-        assert cli(["bench", "--config", str(cfg), "--out", str(outdir)]) == EXIT_OK
-        assert (outdir / "results.csv").exists()
-        assert not (tmp_path / "env").exists()
-
     def test_missing_config_file(self, tmp_path):
         assert cli(["bench", "--config", str(tmp_path / "nope.json")]) == EXIT_DATA
 
@@ -339,3 +346,20 @@ def test_python_dash_m_runs_the_cli():
     assert proc.returncode == 0, proc.stderr
     assert "usage: gbnlearn" in proc.stdout
     assert "generate" in proc.stdout
+
+
+def test_malformed_config_exits_2_without_traceback(tmp_path):
+    # A malformed value is reported as a config error, never as a crash.
+    preset = json.loads((PYPROJECT.parent / "configs" / "clean_er.json").read_text())
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**preset, "scenario": {"kind": "contaminated", "law": 5}}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gbnlearn", "bench", "--config", str(path), "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        env=_package_env(),
+        timeout=SCRIPT_TIMEOUT_S,
+    )
+    assert proc.returncode == EXIT_DATA
+    assert "scenario.law" in proc.stderr
+    assert "Traceback" not in proc.stderr
