@@ -8,6 +8,9 @@ across m share randomness within a repetition. Output is plain CSV: one
 raw row per (method, m, repetition), a per-(method, m) summary, and one
 curve file per method for external plotting.
 
+A scenario type's ``KIND`` is its JSON ``scenario.kind``, and its fields are
+the JSON keys; the contaminated scenario is :class:`gbnlearn.datagen.ContaminationSpec`.
+
 Reproducibility contract: with ``record_timing`` off (the default) the
 pair (config, base_seed) determines every output byte. Per-repetition
 randomness derives from ``SeedSequence([base_seed, rep])``; the derived
@@ -30,7 +33,7 @@ import numpy as np
 
 from . import datagen, estimators, gbn
 from .dag import Dag, random_er_dag, random_tree_dag, remove_random_edges
-from .errors import ConfigInvalid, EmptyInput, InvalidSpec, NumericalError
+from .errors import ConfigInvalid, EmptyInput, InvalidRange, InvalidSpec, NumericalError
 
 
 @dataclass(frozen=True)
@@ -45,12 +48,6 @@ class GraphSpec:
 @dataclass(frozen=True)
 class CleanScenario:
     KIND: ClassVar[str] = "clean"
-
-
-@dataclass(frozen=True)
-class ContaminatedScenario:
-    KIND: ClassVar[str] = "contaminated"
-    spec: datagen.ContaminationSpec = datagen.ContaminationSpec()
 
 
 @dataclass(frozen=True)
@@ -171,13 +168,17 @@ def validate_config(config: ExperimentConfig) -> None:
             raise ConfigInvalid(f"ill_conditioned sigma2 must be > 0, got {sc.sigma2}")
         if not isinstance(config.variances, gbn.UnitVariances):
             raise ConfigInvalid("ill_conditioned scenario requires unit variances")
-    if isinstance(sc, ContaminatedScenario):
-        try:
-            sc.spec.validate(g.n)
-        except InvalidSpec as exc:
-            raise ConfigInvalid(f"contaminated scenario: {exc}") from exc
-    if isinstance(sc, AgnosticScenario) and sc.remove_edges < 0:
-        raise ConfigInvalid("remove_edges must be >= 0")
+    if isinstance(sc, AgnosticScenario):
+        # A tree has n - 1 edges; an ER draw has at most n (n - 1) / 2.
+        max_edges = g.n - 1 if g.kind == "tree" else g.n * (g.n - 1) // 2
+        if not 0 <= sc.remove_edges <= max_edges:
+            raise ConfigInvalid(f"remove_edges must lie in [0, {max_edges}] for {g}, got {sc.remove_edges}")
+    try:
+        gbn.weight_bounds(config.weight_range)
+        if isinstance(sc, datagen.ContaminationSpec):
+            sc.validate(g.n)
+    except (InvalidRange, InvalidSpec) as exc:
+        raise ConfigInvalid(str(exc)) from exc
 
 
 def _rep_seeds(base_seed: int, rep: int) -> tuple[int, int]:
@@ -190,7 +191,9 @@ def generate_rep_data(config: ExperimentConfig, rep: int) -> RepData:
     """Graph, true model, and largest-m dataset for one repetition.
 
     This is the reproduction path: every raw result row can be recomputed
-    from (config, rep) through this function plus a prefix slice.
+    from (config, rep) through this function plus a prefix slice. The
+    contamination comes from a second generator, so the clean stream is
+    the same as in a clean run.
     """
     seed, contam_seed = _rep_seeds(config.base_seed, rep)
     rng = np.random.default_rng(seed)
@@ -214,9 +217,8 @@ def generate_rep_data(config: ExperimentConfig, rep: int) -> RepData:
     if isinstance(scenario, AgnosticScenario):
         fit_dag = remove_random_edges(dag, scenario.remove_edges, rng)
     max_m = max(config.sample_sizes)
-    if isinstance(scenario, ContaminatedScenario):
-        spec = dataclasses.replace(scenario.spec, seed=contam_seed)
-        data = gbn.sample(truth, max_m, rng, contamination=spec)
+    if isinstance(scenario, datagen.ContaminationSpec):
+        data = datagen.contaminated_sample(truth, max_m, scenario, rng, np.random.default_rng(contam_seed))
     else:
         data = gbn.sample(truth, max_m, rng)
     return RepData(truth=truth, fit_dag=fit_dag, data=data, seed=seed, rep=rep)
@@ -417,7 +419,7 @@ def _fields(obj, context: str, required, converters) -> dict:
     """The keys present in JSON object ``obj``, each through its converter.
 
     A non-object, an unknown key, a missing required key, or a value its
-    converter refuses (ValueError, OverflowError, InvalidSpec) raises
+    converter refuses (ValueError, OverflowError, InvalidRange, InvalidSpec) raises
     ConfigInvalid. Absent keys stay absent, so the dataclass defaults are
     the only defaults.
     """
@@ -433,7 +435,7 @@ def _fields(obj, context: str, required, converters) -> dict:
     for key, value in obj.items():
         try:
             out[key] = converters[key](value)
-        except (ValueError, OverflowError, InvalidSpec) as exc:
+        except (ValueError, OverflowError, InvalidRange, InvalidSpec) as exc:
             raise ConfigInvalid(f"{context}.{key}: {exc}") from exc
     return out
 
@@ -457,15 +459,13 @@ def _law(obj) -> datagen.NoiseLaw:
     return datagen.NoiseLaw(**_fields(obj, "scenario.law", (), {"kind": _str, "location": _number, "scale": _number}))
 
 
-def _contaminated(**fields) -> ContaminatedScenario:
-    if "law" in fields:
-        fields["noise_law"] = fields.pop("law")
-    return ContaminatedScenario(datagen.ContaminationSpec(**fields))
-
-
 _SCENARIO_KINDS = {
     CleanScenario.KIND: (CleanScenario, (), {}),
-    ContaminatedScenario.KIND: (_contaminated, (), {"sample_fraction": _number, "node_count": _int, "law": _law}),
+    datagen.ContaminationSpec.KIND: (
+        datagen.ContaminationSpec,
+        (),
+        {"sample_fraction": _number, "node_count": _int, "law": _law},
+    ),
     IllConditionedScenario.KIND: (
         IllConditionedScenario,
         (),

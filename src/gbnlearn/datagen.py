@@ -1,16 +1,17 @@
 """Contaminated data for the benchmark.
 
-Contaminated sampling replaces the structural noise draw at chosen
-(row, node) cells with draws from a gross-error law centered far from
-the data scale; the corruption then propagates to descendants through
-the structural equations, exactly as if the corrupted value had been
-observed.
+Contaminated sampling is an edit of the noise matrix: the clean noise is
+drawn, the noise at chosen (row, node) cells is overwritten with draws
+from a gross-error law centered far from the data scale, and the result
+is propagated through the structural equations, so the corruption
+reaches descendants exactly as if the corrupted value had been observed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -47,13 +48,12 @@ class NoiseLaw:
 
 @dataclass(frozen=True)
 class ContaminationSpec:
-    """Which cells get corrupted and by what law.
+    """The contaminated scenario: which cells get corrupted and by what law.
 
     ``ceil(sample_fraction * m)`` consecutive rows (a block with uniformly
     chosen start) and ``node_count`` uniformly chosen nodes are targeted;
-    every (row, node) pair in the cross product is contaminated. ``seed``
-    makes the choice and the draws reproducible independently of the clean
-    sampling stream.
+    every (row, node) pair in the cross product is contaminated. The
+    fields are the keys of the bench config's ``contaminated`` scenario.
 
     The corrupted rows form one contiguous block rather than a scatter:
     since rows are i.i.d. their position carries no information, and a
@@ -64,10 +64,10 @@ class ContaminationSpec:
     (1 - 0.95^21 ~ 0.66) and no aggregator could survive that.
     """
 
+    KIND: ClassVar[str] = "contaminated"
     sample_fraction: float = 0.05
     node_count: int = 5
-    noise_law: NoiseLaw = NoiseLaw()
-    seed: int = 0
+    law: NoiseLaw = NoiseLaw()
 
     def validate(self, n: int) -> None:
         if not (0.0 <= self.sample_fraction <= 1.0):
@@ -100,20 +100,25 @@ def choose_contamination_targets(spec: ContaminationSpec, n: int, m: int, rng: n
     return rows, nodes
 
 
-def contaminated_sample(model: gbn.GaussianBayesNet, m: int, spec: ContaminationSpec, rng: np.random.Generator) -> np.ndarray:
-    """Forward sampling with the contamination applied to noise draws.
+def contaminated_sample(
+    model: gbn.GaussianBayesNet, m: int, spec: ContaminationSpec, rng: np.random.Generator, contam_rng: np.random.Generator
+) -> np.ndarray:
+    """``m`` samples of ``model`` with the noise of the targeted cells replaced.
 
-    Clean noise for every node is drawn from ``rng`` first and targeted
-    cells are then overwritten from the law, so with the same seed an
-    empty target set reproduces the clean matrix bit for bit, and
-    untargeted rows are identical between the clean and contaminated
-    matrices.
+    The targets are chosen from ``contam_rng`` and the clean noise of
+    every node is drawn from ``rng`` exactly as :func:`gbnlearn.gbn.sample`
+    draws it. The targeted cells are then overwritten with draws from
+    ``spec.law``, taken from ``contam_rng`` node by node in topological
+    order, and the noise is propagated through the structural equations.
+    So an empty target set reproduces the clean matrix bit for bit, and
+    untargeted rows equal the clean ones.
     """
-    spec.validate(model.dag.n)
-    contam_rng = np.random.default_rng(spec.seed)
     rows, nodes = choose_contamination_targets(spec, model.dag.n, m, contam_rng)
-    node_set = set(int(v) for v in nodes)
-    return gbn._forward_sample(
-        model, m, rng, rows, node_set, lambda size: spec.noise_law.draw(contam_rng, size)
-    )
-
+    x = gbn._draw_noise(model, m, rng)
+    if rows.size:
+        targeted = set(nodes.tolist())
+        for i in model.dag.order:
+            if i in targeted:
+                x[rows, i] = spec.law.draw(contam_rng, rows.size)
+    gbn._propagate(model, x)
+    return x

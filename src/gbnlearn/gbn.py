@@ -32,11 +32,6 @@ from .errors import (
     StructureMismatch,
 )
 
-# Evaluation reports clamp tiny negative rounding residue in the total
-# KL at this floor before applying the total-variation bound.
-KL_NEGATIVE_TOLERANCE = 1e-12
-
-
 @dataclass(frozen=True, eq=False)
 class GaussianBayesNet:
     """Parameters of a linear-Gaussian network on a fixed DAG.
@@ -100,10 +95,14 @@ class UnitVariances:
 
 @dataclass(frozen=True)
 class UniformVariances:
-    """Noise variances drawn i.i.d. uniform from [low, high)."""
+    """Noise variances drawn i.i.d. uniform from [low, high), ``0 < low <= high``."""
 
     low: float
     high: float
+
+    def __post_init__(self):
+        if not (0 < self.low <= self.high):
+            raise InvalidRange(f"variance range must satisfy 0 < low <= high, got {self}")
 
 
 @dataclass(frozen=True)
@@ -123,9 +122,7 @@ def random_gbn(dag: Dag, weight_range, variance_spec, rng: np.random.Generator) 
     :class:`UniformVariances`, or :class:`IllConditionedVariances`.
     Nodes are processed in ascending index so a fixed seed fixes the model.
     """
-    lo, hi = float(weight_range[0]), float(weight_range[1])
-    if not (0 < lo < hi):
-        raise InvalidRange(f"weight magnitude range must satisfy 0 < lo < hi, got ({lo}, {hi})")
+    lo, hi = weight_bounds(weight_range)
     coeffs = []
     for i in range(dag.n):
         p = len(dag.parents[i])
@@ -136,12 +133,18 @@ def random_gbn(dag: Dag, weight_range, variance_spec, rng: np.random.Generator) 
     return GaussianBayesNet(dag=dag, coeffs=tuple(coeffs), variances=variances)
 
 
+def weight_bounds(weight_range) -> tuple[float, float]:
+    """``weight_range`` as floats ``(lo, hi)``; raises InvalidRange unless ``0 < lo < hi``."""
+    lo, hi = float(weight_range[0]), float(weight_range[1])
+    if not (0 < lo < hi):
+        raise InvalidRange(f"weight magnitude range must satisfy 0 < lo < hi, got ({lo}, {hi})")
+    return lo, hi
+
+
 def _draw_variances(n: int, spec, rng: np.random.Generator) -> np.ndarray:
     if isinstance(spec, UnitVariances):
         return np.ones(n)
     if isinstance(spec, UniformVariances):
-        if not (0 < spec.low <= spec.high):
-            raise InvalidRange(f"variance range must satisfy 0 < low <= high, got {spec}")
         return rng.uniform(spec.low, spec.high, size=n)
     if isinstance(spec, IllConditionedVariances):
         if spec.sigma2 <= 0:
@@ -159,44 +162,39 @@ def _draw_variances(n: int, spec, rng: np.random.Generator) -> np.ndarray:
 # sampling
 
 
-def sample(model: GaussianBayesNet, m: int, rng: np.random.Generator, contamination=None) -> np.ndarray:
-    """Draw ``m`` i.i.d. samples; returns an ``(m, n)`` float array.
+def sample(model: GaussianBayesNet, m: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw ``m`` i.i.d. clean samples; returns an ``(m, n)`` float array.
 
     The array is column-major (Fortran order): each node's column is
     contiguous, matching the estimators, which read a node's column and
-    its parents' columns. Nodes are filled in topological order, each
-    from its structural equation, so a fixed seed yields a bit-identical
-    matrix. When a contamination spec is given the designated (row,
-    node) noise draws are replaced by draws from the contaminating law
-    (see :func:`gbnlearn.datagen.contaminated_sample`), and the
-    corruption propagates to descendants through the structural
-    equations.
+    its parents' columns. The noise is drawn, then propagated through the
+    structural equations, so a fixed seed yields a bit-identical matrix.
+    :func:`gbnlearn.datagen.contaminated_sample` edits the noise in between.
     """
-    if contamination is not None:
-        from .datagen import contaminated_sample
-
-        return contaminated_sample(model, m, contamination, rng)
-    return _forward_sample(model, m, rng, None, None, None)
+    x = _draw_noise(model, m, rng)
+    _propagate(model, x)
+    return x
 
 
-def _forward_sample(model, m, rng, target_rows, target_nodes, contam_draw) -> np.ndarray:
+def _draw_noise(model: GaussianBayesNet, m: int, rng: np.random.Generator) -> np.ndarray:
+    """The ``(m, n)`` column-major noise matrix, columns drawn from ``rng`` in topological order."""
     if not isinstance(m, int) or m < 1:
         raise InvalidParameter(f"sample count must be a positive integer, got {m!r}")
     dag = model.dag
     x = np.empty((m, dag.n), order="F")
     sigmas = np.sqrt(model.variances)
     for i in dag.order:
-        # The clean draw always happens first so that, for a fixed seed,
-        # untargeted noise is unchanged by contamination.
-        eta = rng.normal(0.0, sigmas[i], size=m)
-        if target_nodes is not None and i in target_nodes and len(target_rows) > 0:
-            eta[target_rows] = contam_draw(len(target_rows))
+        x[:, i] = rng.normal(0.0, sigmas[i], size=m)
+    return x
+
+
+def _propagate(model: GaussianBayesNet, x: np.ndarray) -> None:
+    """Noise to samples in place, in topological order: ``x[:, i] += x[:, pa] @ coeffs[i]``."""
+    dag = model.dag
+    for i in dag.order:
         pa = dag.parents[i]
         if pa:
-            x[:, i] = x[:, pa] @ model.coeffs[i] + eta
-        else:
-            x[:, i] = eta
-    return x
+            x[:, i] += x[:, pa] @ model.coeffs[i]
 
 
 # --------------------------------------------------------------------------
@@ -321,10 +319,6 @@ def kl_divergence(truth: GaussianBayesNet, estimate: GaussianBayesNet, *, parent
             truth.coeffs[i], truth.variances[i], est_coeffs[i], estimate.variances[i], parent_covs[i]
         )
     kl_total = float(np.sum(per_node))
-    if kl_total < -KL_NEGATIVE_TOLERANCE:
-        # Each term is a KL of conditionals, so the sum is nonnegative up
-        # to rounding; anything below the floor is clamped, not hidden.
-        kl_total = -KL_NEGATIVE_TOLERANCE
     return EvalReport(per_node_dcp=per_node, kl_total=kl_total, tv_upper=tv_upper(kl_total))
 
 

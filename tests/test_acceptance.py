@@ -13,7 +13,6 @@ import numpy as np
 import scipy.stats
 
 from gbnlearn.bench import (
-    ContaminatedScenario,
     ExperimentConfig,
     GraphSpec,
     MethodSpec,
@@ -22,6 +21,7 @@ from gbnlearn.bench import (
 )
 from gbnlearn.cli import cli
 from gbnlearn.dag import build_dag, random_er_dag, random_tree_dag
+from gbnlearn.datagen import ContaminationSpec
 from gbnlearn.estimators import (
     FitConfig,
     batch_least_squares,
@@ -223,7 +223,7 @@ def test_07_robust_methods_survive_contamination():
         sample_sizes=(3000,),
         repetitions=20,
         base_seed=70,
-        scenario=ContaminatedScenario(),
+        scenario=ContaminationSpec(),
     )
     s = {x.method: x.median_kl for x in summarize(run_experiment(cfg))}
     elapsed = time.perf_counter() - t0

@@ -12,7 +12,6 @@ from gbnlearn import bench, datagen, estimators, gbn
 from gbnlearn.bench import (
     AgnosticScenario,
     CleanScenario,
-    ContaminatedScenario,
     ExperimentConfig,
     GraphSpec,
     IllConditionedScenario,
@@ -69,6 +68,11 @@ MALFORMED = [
     pytest.param({"record_timing": "false"}, id="record_timing_string"),
     pytest.param(_ill_conditioned(node_count="2"), id="ill_node_count_string"),
     pytest.param(_ill_conditioned(node_count=500), id="ill_node_count_above_n"),
+    pytest.param({"weight_range": [2, 1]}, id="weight_range_reversed"),
+    pytest.param({"weight_range": [0, 1]}, id="weight_range_zero_low"),
+    pytest.param({"variances": {"kind": "uniform", "low": -1, "high": 2}}, id="uniform_variances_negative_low"),
+    pytest.param({"variances": {"kind": "uniform", "low": 2, "high": 1}}, id="uniform_variances_reversed"),
+    pytest.param({"scenario": {"kind": "agnostic", "remove_edges": 5000}}, id="remove_edges_above_complete_dag"),
 ]
 
 
@@ -113,9 +117,9 @@ class TestParseConfig:
         assert cfg.graph == GraphSpec("er", 12, 2.5)
         assert cfg.weight_range == (0.5, 1.5)
         assert cfg.variances == gbn.UniformVariances(0.5, 2.0)
-        assert cfg.scenario.spec.noise_law.kind == "cauchy"
-        assert cfg.scenario.spec.noise_law.location == 500.0
-        assert cfg.scenario.spec.sample_fraction == 0.1
+        assert cfg.scenario.law.kind == "cauchy"
+        assert cfg.scenario.law.location == 500.0
+        assert cfg.scenario.sample_fraction == 0.1
         assert cfg.sample_sizes == (100, 400)
         assert cfg.repetitions == 2
         assert cfg.base_seed == 9
@@ -191,8 +195,8 @@ class TestParseConfig:
         assert cfg.scenario == AgnosticScenario(3)
 
     def test_absent_keys_take_the_dataclass_defaults(self):
-        assert _parse_minimal(**_contaminated()).scenario == ContaminatedScenario()
-        law = _parse_minimal(**_contaminated(law={})).scenario.spec.noise_law
+        assert _parse_minimal(**_contaminated()).scenario == datagen.ContaminationSpec()
+        law = _parse_minimal(**_contaminated(law={})).scenario.law
         assert law == datagen.NoiseLaw()
         assert _parse_minimal().methods[0].config == FitConfig(method="least_squares")
 
@@ -280,13 +284,25 @@ class TestValidateConfig:
             IllConditionedScenario(node_count=7),
             IllConditionedScenario(nodes=(0, 6)),
             IllConditionedScenario(nodes=(-1,)),
-            ContaminatedScenario(datagen.ContaminationSpec(node_count=7)),
+            datagen.ContaminationSpec(node_count=7),
         ],
     )
     def test_scenario_nodes_checked_against_n(self, scenario):
         # _tiny_config's tree has n = 6.
         with pytest.raises(ConfigInvalid):
             validate_config(_tiny_config(scenario=scenario))
+
+    @pytest.mark.parametrize("weight_range", [(2.0, 1.0), (0.0, 1.0)])
+    def test_weight_range_needs_positive_increasing_bounds(self, weight_range):
+        with pytest.raises(ConfigInvalid, match="weight"):
+            validate_config(_tiny_config(weight_range=weight_range))
+
+    def test_remove_edges_checked_against_tree_edge_count(self):
+        # A tree on n nodes has n - 1 edges.
+        validate_config(_tiny_config(graph=GraphSpec("tree", 5), scenario=AgnosticScenario(4)))
+        for k in (5, 50, -1):
+            with pytest.raises(ConfigInvalid, match="remove_edges"):
+                validate_config(_tiny_config(graph=GraphSpec("tree", 5), scenario=AgnosticScenario(k)))
 
     def test_ill_conditioned_requires_unit_variances(self):
         cfg = _tiny_config(
@@ -404,14 +420,14 @@ class TestScenarios:
             sample_sizes=(200,),
             repetitions=3,
             base_seed=5,
-            scenario=ContaminatedScenario(),
+            scenario=datagen.ContaminationSpec(),
         )
         summary = {s.method: s for s in summarize(run_experiment(cfg))}
         assert all(r.scenario == "contaminated" for r in run_experiment(cfg))
         assert summary["bm"].median_kl < 0.2 * summary["ls"].median_kl
 
     def test_contamination_seed_differs_from_rep_seed(self):
-        cfg = _tiny_config(scenario=ContaminatedScenario())
+        cfg = _tiny_config(scenario=datagen.ContaminationSpec())
         rd = generate_rep_data(cfg, 0)
         clean_rd = generate_rep_data(_tiny_config(), 0)
         assert rd.seed == clean_rd.seed

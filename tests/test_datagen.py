@@ -105,35 +105,35 @@ class TestContaminatedSample:
     def test_deterministic(self):
         rng = np.random.default_rng(7)
         model = random_gbn(random_tree_dag(8, rng), (1.0, 2.0), UnitVariances(), rng)
-        spec = ContaminationSpec(sample_fraction=0.1, node_count=3, seed=11)
-        a = contaminated_sample(model, 200, spec, np.random.default_rng(42))
-        b = contaminated_sample(model, 200, spec, np.random.default_rng(42))
+        spec = ContaminationSpec(sample_fraction=0.1, node_count=3)
+        a = contaminated_sample(model, 200, spec, np.random.default_rng(42), np.random.default_rng(11))
+        b = contaminated_sample(model, 200, spec, np.random.default_rng(42), np.random.default_rng(11))
         assert np.array_equal(a, b)
 
     def test_empty_spec_reproduces_clean_matrix_exactly(self):
         rng = np.random.default_rng(8)
         model = random_gbn(random_tree_dag(6, rng), (1.0, 2.0), UnitVariances(), rng)
-        spec = ContaminationSpec(sample_fraction=0.0, node_count=0, seed=5)
+        spec = ContaminationSpec(sample_fraction=0.0, node_count=0)
         clean = sample(model, 300, np.random.default_rng(9))
-        dirty = contaminated_sample(model, 300, spec, np.random.default_rng(9))
+        dirty = contaminated_sample(model, 300, spec, np.random.default_rng(9), np.random.default_rng(5))
         assert np.array_equal(clean, dirty)
 
     def test_untargeted_rows_are_bit_identical_to_clean(self):
         rng = np.random.default_rng(10)
         model = random_gbn(random_er_dag(10, 2.0, rng), (1.0, 2.0), UnitVariances(), rng)
-        spec = ContaminationSpec(sample_fraction=0.05, node_count=4, seed=3)
+        spec = ContaminationSpec(sample_fraction=0.05, node_count=4)
         clean = sample(model, 400, np.random.default_rng(13))
-        dirty = sample(model, 400, np.random.default_rng(13), contamination=spec)
-        rows, _ = choose_contamination_targets(spec, 10, 400, np.random.default_rng(spec.seed))
+        dirty = contaminated_sample(model, 400, spec, np.random.default_rng(13), np.random.default_rng(3))
+        rows, _ = choose_contamination_targets(spec, 10, 400, np.random.default_rng(3))
         untouched = np.setdiff1d(np.arange(400), rows)
         assert np.array_equal(clean[untouched], dirty[untouched])
         assert not np.array_equal(clean[rows], dirty[rows])
 
     def test_gaussian_contamination_lands_at_the_law_location(self):
         model = _independent_model(5)
-        spec = ContaminationSpec(sample_fraction=0.05, node_count=5, seed=0)
-        dirty = contaminated_sample(model, 1000, spec, np.random.default_rng(14))
-        rows, nodes = choose_contamination_targets(spec, 5, 1000, np.random.default_rng(spec.seed))
+        spec = ContaminationSpec(sample_fraction=0.05, node_count=5)
+        dirty = contaminated_sample(model, 1000, spec, np.random.default_rng(14), np.random.default_rng(0))
+        rows, nodes = choose_contamination_targets(spec, 5, 1000, np.random.default_rng(0))
         cells = dirty[np.ix_(rows, nodes)]
         assert cells.shape == (50, 5)
         assert abs(cells.mean() - 1000.0) < 0.5
@@ -143,25 +143,24 @@ class TestContaminatedSample:
         spec = ContaminationSpec(
             sample_fraction=0.05,
             node_count=5,
-            noise_law=NoiseLaw(kind="cauchy", location=1000.0, scale=1.0),
-            seed=1,
+            law=NoiseLaw(kind="cauchy", location=1000.0, scale=1.0),
         )
-        dirty = contaminated_sample(model, 2000, spec, np.random.default_rng(15))
-        rows, nodes = choose_contamination_targets(spec, 5, 2000, np.random.default_rng(spec.seed))
+        dirty = contaminated_sample(model, 2000, spec, np.random.default_rng(15), np.random.default_rng(1))
+        rows, nodes = choose_contamination_targets(spec, 5, 2000, np.random.default_rng(1))
         assert abs(np.median(dirty[np.ix_(rows, nodes)]) - 1000.0) < 0.5
 
     def test_corruption_propagates_to_children(self):
         dag = build_dag(2, [(0, 1)])
         model = GaussianBayesNet(dag, (np.zeros(0), np.array([2.0])), np.ones(2))
-        # Find a spec seed whose single contaminated node is the root.
+        # Find a contamination seed whose single contaminated node is the root.
+        spec = ContaminationSpec(sample_fraction=0.1, node_count=1)
         for seed in range(50):
-            spec = ContaminationSpec(sample_fraction=0.1, node_count=1, seed=seed)
             _, nodes = choose_contamination_targets(spec, 2, 100, np.random.default_rng(seed))
             if nodes[0] == 0:
                 break
         clean = sample(model, 100, np.random.default_rng(16))
-        dirty = sample(model, 100, np.random.default_rng(16), contamination=spec)
-        rows, _ = choose_contamination_targets(spec, 2, 100, np.random.default_rng(spec.seed))
+        dirty = contaminated_sample(model, 100, spec, np.random.default_rng(16), np.random.default_rng(seed))
+        rows, _ = choose_contamination_targets(spec, 2, 100, np.random.default_rng(seed))
         # The child's noise is untouched, so its shift is exactly the
         # coefficient times the parent's shift.
         shift0 = dirty[rows, 0] - clean[rows, 0]
@@ -173,4 +172,38 @@ class TestContaminatedSample:
         model = _independent_model(3)
         spec = ContaminationSpec(sample_fraction=0.1, node_count=5)
         with pytest.raises(InvalidSpec):
-            contaminated_sample(model, 50, spec, np.random.default_rng(17))
+            contaminated_sample(model, 50, spec, np.random.default_rng(17), np.random.default_rng(18))
+
+
+def _reference_sample(model, m, rng, contamination=None):
+    """One pass per node in topological order: draw the noise, overwrite the
+    targeted cells, and set ``x[:, i] = x[:, pa] @ c + eta``.
+
+    ``contamination`` is ``(spec, contam_rng)``; the targets are chosen
+    from ``contam_rng`` before any law draw.
+    """
+    dag = model.dag
+    x = np.empty((m, dag.n), order="F")
+    if contamination is not None:
+        spec, contam_rng = contamination
+        rows, nodes = choose_contamination_targets(spec, dag.n, m, contam_rng)
+    for i in dag.order:
+        eta = rng.normal(0.0, np.sqrt(model.variances[i]), size=m)
+        if contamination is not None and i in nodes and rows.size:
+            eta[rows] = spec.law.draw(contam_rng, rows.size)
+        pa = dag.parents[i]
+        x[:, i] = x[:, pa] @ model.coeffs[i] + eta if pa else eta
+    return x
+
+
+@pytest.mark.parametrize("graph", ["er", "tree"])
+def test_sampling_matches_the_structural_equations_bit_for_bit(graph):
+    rng = np.random.default_rng(21)
+    dag = random_er_dag(30, 4.0, rng) if graph == "er" else random_tree_dag(30, rng)
+    model = random_gbn(dag, (1.0, 2.0), UnitVariances(), rng)
+    clean = sample(model, 500, np.random.default_rng(22))
+    assert np.array_equal(clean, _reference_sample(model, 500, np.random.default_rng(22)))
+    spec = ContaminationSpec(sample_fraction=0.1, node_count=8)
+    dirty = contaminated_sample(model, 500, spec, np.random.default_rng(22), np.random.default_rng(23))
+    want = _reference_sample(model, 500, np.random.default_rng(22), (spec, np.random.default_rng(23)))
+    assert np.array_equal(dirty, want)

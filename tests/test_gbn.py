@@ -9,8 +9,9 @@ import math
 import numpy as np
 import pytest
 
+from gbnlearn import gbn
 from gbnlearn.dag import build_dag, random_er_dag, random_tree_dag, remove_random_edges
-from gbnlearn.datagen import ContaminationSpec
+from gbnlearn.datagen import ContaminationSpec, contaminated_sample
 from gbnlearn.errors import (
     DimensionMismatch,
     FileFormatError,
@@ -110,6 +111,11 @@ class TestRandomGbn:
         with pytest.raises(InvalidIndex):
             random_gbn(dag, (1.0, 2.0), IllConditionedVariances((5,), 1e-20), rng)
 
+    @pytest.mark.parametrize("low, high", [(-1.0, 2.0), (0.0, 1.0), (2.0, 1.0)])
+    def test_bad_uniform_variance_range_rejected(self, low, high):
+        with pytest.raises(InvalidRange):
+            UniformVariances(low, high)
+
     def test_bad_weight_range_rejected(self):
         rng = np.random.default_rng(0)
         dag = build_dag(2, [(0, 1)])
@@ -143,8 +149,9 @@ class TestSampling:
         # Each node's column is contiguous, clean and contaminated alike.
         rng = np.random.default_rng(9)
         model = random_gbn(random_er_dag(12, 3, rng), (1.0, 2.0), UnitVariances(), rng)
-        spec = ContaminationSpec(sample_fraction=0.1, node_count=3, seed=5)
-        for x in (sample(model, 50, rng), sample(model, 50, rng, contamination=spec)):
+        spec = ContaminationSpec(sample_fraction=0.1, node_count=3)
+        dirty = contaminated_sample(model, 50, spec, rng, np.random.default_rng(5))
+        for x in (sample(model, 50, rng), dirty):
             assert x.shape == (50, 12)
             assert x.flags["F_CONTIGUOUS"]
 
@@ -297,6 +304,16 @@ class TestKlDivergence:
         report = kl_divergence(truth, estimate)
         assert report.kl_total == pytest.approx(float(np.sum(report.per_node_dcp)), abs=1e-12)
         assert report.kl_total >= -1e-12
+
+    def test_negative_terms_are_summed_not_clamped(self, monkeypatch):
+        # Every term is a KL of conditionals, so a negative total is a
+        # fault, and the report must show it rather than round it away.
+        monkeypatch.setattr(gbn, "dcp", lambda *args: -1.0)
+        truth = _chain_model()
+        report = kl_divergence(truth, truth)
+        assert list(report.per_node_dcp) == [-1.0, -1.0]
+        assert report.kl_total == -2.0
+        assert report.tv_upper == 0.0
 
     def test_matches_joint_covariance_oracle(self):
         # Pairs on the same DAG, then estimates on a sub-DAG of the truth's.
