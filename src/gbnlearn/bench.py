@@ -296,33 +296,19 @@ def summarize(rows: list[ResultRow]) -> list[SummaryRow]:
     """
     if not rows:
         raise EmptyInput("no rows to summarize")
-    cells: dict[tuple[str, int], tuple[list[float], int]] = {}
+    cells: dict[tuple[str, int], list[ResultRow]] = {}
     for r in rows:
-        values, degen = cells.setdefault((r.method, r.m), ([], 0))
-        if r.degenerate:
-            cells[(r.method, r.m)] = (values, degen + 1)
-        else:
-            values.append(r.kl_total)
+        cells.setdefault((r.method, r.m), []).append(r)
     out = []
-    for method, m in sorted(cells):
-        values, degen = cells[(method, m)]
-        if values:
-            arr = np.asarray(values)
+    for (method, m), cell in sorted(cells.items()):
+        kls = [r.kl_total for r in cell if not r.degenerate]
+        mean = median = iqr = None
+        if kls:
+            arr = np.asarray(kls)
             q25, q75 = np.percentile(arr, [25.0, 75.0])
-            out.append(
-                SummaryRow(
-                    method=method,
-                    m=m,
-                    mean_kl=float(arr.mean()),
-                    median_kl=float(np.median(arr)),
-                    iqr_kl=float(q75 - q25),
-                    degenerate_count=degen,
-                )
-            )
-        else:
-            out.append(
-                SummaryRow(method=method, m=m, mean_kl=None, median_kl=None, iqr_kl=None, degenerate_count=degen)
-            )
+            mean, median, iqr = float(arr.mean()), float(np.median(arr)), float(q75 - q25)
+        degenerate = len(cell) - len(kls)
+        out.append(SummaryRow(method, m, mean_kl=mean, median_kl=median, iqr_kl=iqr, degenerate_count=degenerate))
     return out
 
 
@@ -486,7 +472,7 @@ def _graph(obj) -> GraphSpec:
 
 def _default_label(cfg: estimators.FitConfig) -> str:
     label = cfg.method
-    if cfg.method in ("batch_avg", "batch_med"):
+    if cfg.method in estimators.BATCH_METHODS:
         label += f"_x{cfg.batch_extra}"
     if cfg.method != "empirical_mle" and cfg.variance_method != "empirical":
         label += f"_{cfg.variance_method}"

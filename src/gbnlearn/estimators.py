@@ -20,7 +20,10 @@ coefficient vector:
 ``fit`` drives a full model estimate: the first ``floor(split * m)`` rows
 feed the coefficient method and the remaining rows feed variance
 recovery (mean of squared residuals, or a median-absolute-deviation
-estimate for contaminated data).
+estimate for contaminated data). ``_METHOD_TABLE`` holds, once per
+method, the coefficient rows a node needs and the kernel ``fit`` calls;
+a node with fewer rows raises InsufficientSamples naming the node and
+the method.
 """
 
 from __future__ import annotations
@@ -42,7 +45,27 @@ from .errors import (
 )
 from .gbn import GaussianBayesNet
 
-COEFFICIENT_METHODS = ("least_squares", "batch_avg", "batch_med", "cauchy_est", "cauchy_est_tree")
+BATCH_METHODS = ("batch_avg", "batch_med")
+
+# Per coefficient method: the coefficient rows m1 that a node with p
+# parents needs, and the kernel that turns the node's (m1, p) parent block
+# x and target y into coefficients. Each kernel is named inside a lambda,
+# so it is looked up in this module at fit time and a patched module
+# attribute sees every call.
+_METHOD_TABLE = {
+    "least_squares": (lambda p, extra: p, lambda x, y, extra: least_squares_node(x, y)),
+    "batch_avg": (
+        lambda p, extra: p + extra,
+        lambda x, y, extra: batch_least_squares(x, y, x.shape[1] + extra, "mean"),
+    ),
+    "batch_med": (
+        lambda p, extra: p + extra,
+        lambda x, y, extra: batch_least_squares(x, y, x.shape[1] + extra, "median"),
+    ),
+    "cauchy_est": (lambda p, extra: p + 1, lambda x, y, extra: cauchy_est_node(x, y)),
+    "cauchy_est_tree": (lambda p, extra: p, lambda x, y, extra: cauchy_est_tree_node(x, y)),
+}
+COEFFICIENT_METHODS = tuple(_METHOD_TABLE)
 METHODS = COEFFICIENT_METHODS + ("empirical_mle",)
 VARIANCE_METHODS = ("empirical", "mad")
 
@@ -86,7 +109,7 @@ class FitConfig:
             raise ConfigInvalid(f"split_fraction must lie in (0, 1), got {self.split_fraction}")
         if not isinstance(self.batch_extra, int) or self.batch_extra < 0:
             raise ConfigInvalid(f"batch_extra must be a nonnegative integer, got {self.batch_extra!r}")
-        if self.method in ("batch_avg", "batch_med") and self.batch_extra < 1:
+        if self.method in BATCH_METHODS and self.batch_extra < 1:
             raise ConfigInvalid("batch_extra must be >= 1 for batch methods")
 
 
@@ -215,9 +238,10 @@ def batch_solve(square_block: np.ndarray, target: np.ndarray) -> np.ndarray:
 def _batch_solve_stack(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     # Solutions of the floor(m / p) square batches of consecutive rows of
     # an (m, p) block, trailing rows dropped. Vectorized solve over the
-    # (b, p, p) stack with per-batch fallback on singular or non-finite
-    # outcomes; bitwise identical to looping batch_solve since the same
-    # LAPACK routine runs per matrix.
+    # (b, p, p) stack; every batch without a finite solution goes to
+    # batch_solve. One singular matrix makes the stacked solve raise,
+    # which leaves every batch without one. Bitwise identical to looping
+    # batch_solve since the same LAPACK routine runs per matrix.
     m, p = x.shape
     b = m // p
     xs = x[: b * p].reshape(b, p, p)
@@ -225,11 +249,9 @@ def _batch_solve_stack(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     try:
         sols = np.linalg.solve(xs, ys[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        return np.stack([batch_solve(x, y) for x, y in zip(xs, ys)])
-    bad = ~np.all(np.isfinite(sols), axis=1)
-    if bad.any():
-        for idx in np.flatnonzero(bad):
-            sols[idx] = batch_solve(xs[idx], ys[idx])
+        sols = np.full((b, p), np.nan)
+    for idx in np.flatnonzero(~np.all(np.isfinite(sols), axis=1)):
+        sols[idx] = batch_solve(xs[idx], ys[idx])
     return sols
 
 
@@ -335,28 +357,6 @@ def mad_variance(residuals: np.ndarray) -> float:
 # full-model fitting
 
 
-def _required_m1(method: str, p: int, config: FitConfig) -> int:
-    if method == "least_squares":
-        return max(p, 1)
-    if method in ("batch_avg", "batch_med"):
-        return p + config.batch_extra
-    if method == "cauchy_est_tree":
-        return p
-    return p + 1  # cauchy_est
-
-
-def _coefficients_one_node(method: str, x: np.ndarray, y: np.ndarray, config: FitConfig) -> np.ndarray:
-    if method == "least_squares":
-        return least_squares_node(x, y)
-    if method == "batch_avg":
-        return batch_least_squares(x, y, x.shape[1] + config.batch_extra, "mean")
-    if method == "batch_med":
-        return batch_least_squares(x, y, x.shape[1] + config.batch_extra, "median")
-    if method == "cauchy_est_tree":
-        return cauchy_est_tree_node(x, y)
-    return cauchy_est_node(x, y)
-
-
 def fit_detailed(dag: Dag, data: np.ndarray, config: FitConfig) -> FitOutcome:
     """Two-phase fit returning the model plus degenerate-variance flags.
 
@@ -386,18 +386,19 @@ def fit_detailed(dag: Dag, data: np.ndarray, config: FitConfig) -> FitOutcome:
         raise InsufficientSamples(
             f"split {config.split_fraction} of {m} rows leaves ({m1}, {m2}); both phases need rows"
         )
+    required_m1, kernel = _METHOD_TABLE[config.method]
     coeffs: list[np.ndarray] = []
     for i in range(dag.n):
         pa = dag.parents[i]
         if not pa:
             coeffs.append(np.zeros(0))
             continue
-        need = _required_m1(config.method, len(pa), config)
+        need = required_m1(len(pa), config.batch_extra)
         if m1 < need:
             raise InsufficientSamples(
                 f"node {i}: method {config.method} needs m1 >= {need}, got {m1}"
             )
-        coeffs.append(_coefficients_one_node(config.method, x[:m1, pa], x[:m1, i], config))
+        coeffs.append(kernel(x[:m1, pa], x[:m1, i], config.batch_extra))
     tail = x[m1:]
     if config.variance_method == "empirical":
         variances = variance_recovery(dag, tail, coeffs)

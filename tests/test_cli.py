@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -363,3 +364,42 @@ def test_malformed_config_exits_2_without_traceback(tmp_path):
     assert proc.returncode == EXIT_DATA
     assert "scenario.law" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        pytest.param(
+            {"graph": {"kind": "er", "n": 5, "degree": 1.0}, "scenario": {"kind": "agnostic", "remove_edges": 9}},
+            r"error: graph has \d+ edges, cannot remove 9",
+            id="remove_edges_beyond_drawn_graph",
+        ),
+        pytest.param(
+            {
+                "graph": {"kind": "er", "n": 30, "degree": 5.0},
+                "methods": [{"method": "batch_med", "batch_extra": 20}],
+                "sample_sizes": [20],
+            },
+            r"error: node \d+: method batch_med needs m1 >= \d+, got 10",
+            id="batch_rows_beyond_coefficient_rows",
+        ),
+    ],
+)
+def test_data_error_mid_sweep_exits_2_without_results(tmp_path, overrides, message):
+    # The edge and parent counts of an ER graph are drawn per repetition,
+    # so validate_config cannot bound these; the sweep stops with a
+    # one-line message and writes no results.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**TINY_BENCH, **overrides}))
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "gbnlearn", "bench", "--config", str(path), "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env=_package_env(),
+        timeout=SCRIPT_TIMEOUT_S,
+    )
+    assert proc.returncode == EXIT_DATA
+    assert re.fullmatch(message, proc.stderr.strip()), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (out / "results.csv").exists()

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gbnlearn import estimators
 from gbnlearn.dag import build_dag, random_er_dag, random_tree_dag
 from gbnlearn.errors import (
     BatchTooSmall,
@@ -299,6 +300,33 @@ class TestCauchyEstTree:
         with pytest.raises(InsufficientSamples):
             cauchy_est_tree_node(np.ones((1, 2)), np.ones(1))
 
+    def test_singular_batch_falls_back_for_the_whole_stack(self):
+        # One exactly singular 2 x 2 batch among six makes the stacked
+        # solve raise; the result is the median of per-batch batch_solve.
+        rng = np.random.default_rng(31)
+        x, y = rng.normal(size=(12, 2)), rng.normal(size=12)
+        x[6:8] = [[1.0, 1.0], [2.0, 2.0]]
+        xs, ys = x.reshape(6, 2, 2), y.reshape(6, 2)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(xs, ys[..., None])
+        expected = np.median(np.stack([batch_solve(a, b) for a, b in zip(xs, ys)]), axis=0)
+        assert np.array_equal(cauchy_est_tree_node(x, y), expected)
+
+    def test_overflowing_batch_falls_back_alone(self):
+        # One batch whose square solve overflows to inf; only that batch
+        # takes batch_solve's lstsq path, and the median matches the loop.
+        rng = np.random.default_rng(32)
+        x, y = rng.normal(size=(12, 2)), rng.normal(size=12)
+        x[6:8] = [[1e-200, 0.0], [0.0, 1.0]]
+        y[6:8] = [1e200, 1.0]
+        xs, ys = x.reshape(6, 2, 2), y.reshape(6, 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            stacked = np.linalg.solve(xs, ys[..., None])[..., 0]
+            assert np.flatnonzero(~np.isfinite(stacked).all(axis=1)).tolist() == [3]
+            expected = np.median(np.stack([batch_solve(a, b) for a, b in zip(xs, ys)]), axis=0)
+            assert np.isfinite(expected).all()
+            assert np.array_equal(cauchy_est_tree_node(x, y), expected)
+
     def test_median_recovers_under_heavy_tails(self):
         # p=1 batch errors are Cauchy distributed; the median of 8000 of
         # them lands within 0.1 of the truth almost always.
@@ -538,6 +566,36 @@ class TestFit:
         data = np.ones((4, 3))
         with pytest.raises(InsufficientSamples, match="node 2"):
             fit(dag, data, FitConfig(method="batch_avg", batch_extra=5))
+
+    @pytest.mark.parametrize(
+        "method, kernel",
+        [
+            ("least_squares", "least_squares_node"),
+            ("batch_avg", "batch_least_squares"),
+            ("batch_med", "batch_least_squares"),
+            ("cauchy_est", "cauchy_est_node"),
+            ("cauchy_est_tree", "cauchy_est_tree_node"),
+        ],
+    )
+    def test_kernel_looked_up_at_fit_time(self, monkeypatch, method, kernel):
+        # A layer tracer patches the kernels as module attributes, so fit
+        # must find each kernel there at call time: once per node with
+        # parents, and never through a stored function object.
+        rng = np.random.default_rng(33)
+        dag = random_er_dag(20, 2, rng)
+        data = sample(random_gbn(dag, (1.0, 2.0), UnitVariances(), rng), 400, rng)
+        original = getattr(estimators, kernel)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(estimators, kernel, counting)
+        fit_detailed(dag, data, FitConfig(method=method, batch_extra=5))
+        with_parents = sum(1 for pa in dag.parents if pa)
+        assert with_parents > 0
+        assert len(calls) == with_parents
 
     def test_too_few_rows_overall(self):
         dag = build_dag(1, [])
