@@ -33,7 +33,7 @@ import numpy as np
 
 from . import datagen, estimators, gbn
 from .dag import Dag, random_er_dag, random_tree_dag, remove_random_edges
-from .errors import ConfigInvalid, EmptyInput, InvalidRange, InvalidSpec, NumericalError
+from .errors import ConfigInvalid, InvalidParameter, NumericalError
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ class AgnosticScenario:
     """
 
     KIND: ClassVar[str] = "agnostic"
-    remove_edges: int = 1
+    remove_edges: int
 
 
 @dataclass(frozen=True)
@@ -177,7 +177,7 @@ def validate_config(config: ExperimentConfig) -> None:
         gbn.weight_bounds(config.weight_range)
         if isinstance(sc, datagen.ContaminationSpec):
             sc.validate(g.n)
-    except (InvalidRange, InvalidSpec) as exc:
+    except InvalidParameter as exc:
         raise ConfigInvalid(str(exc)) from exc
 
 
@@ -295,7 +295,7 @@ def summarize(rows: list[ResultRow]) -> list[SummaryRow]:
     full degenerate count.
     """
     if not rows:
-        raise EmptyInput("no rows to summarize")
+        raise InvalidParameter("no rows to summarize")
     cells: dict[tuple[str, int], list[ResultRow]] = {}
     for r in rows:
         cells.setdefault((r.method, r.m), []).append(r)
@@ -405,7 +405,7 @@ def _fields(obj, context: str, required, converters) -> dict:
     """The keys present in JSON object ``obj``, each through its converter.
 
     A non-object, an unknown key, a missing required key, or a value its
-    converter refuses (ValueError, OverflowError, InvalidRange, InvalidSpec) raises
+    converter refuses (ValueError, OverflowError, InvalidParameter) raises
     ConfigInvalid. Absent keys stay absent, so the dataclass defaults are
     the only defaults.
     """
@@ -421,7 +421,7 @@ def _fields(obj, context: str, required, converters) -> dict:
     for key, value in obj.items():
         try:
             out[key] = converters[key](value)
-        except (ValueError, OverflowError, InvalidRange, InvalidSpec) as exc:
+        except (ValueError, OverflowError, InvalidParameter) as exc:
             raise ConfigInvalid(f"{context}.{key}: {exc}") from exc
     return out
 

@@ -119,8 +119,11 @@ def _cmd_fit(args) -> int:
         split_fraction=args.split,
         variance_method=args.variance_method,
     )
-    model = estimators.fit(dag, data, config)
-    gbn.save_model(model, args.out)
+    outcome = estimators.fit_detailed(dag, data, config)
+    if outcome.degenerate_nodes:
+        nodes = list(outcome.degenerate_nodes)
+        raise NumericalError(f"degenerate variance estimate at nodes {nodes}; no model written")
+    gbn.save_model(outcome.model, args.out)
     print(f"wrote {args.out}")
     return EXIT_OK
 

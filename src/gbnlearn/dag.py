@@ -18,16 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    CycleDetected,
-    DuplicateEdge,
-    FileFormatError,
-    InvalidIndex,
-    InvalidParameter,
-    InvalidSize,
-    NotEnoughEdges,
-    SelfLoop,
-)
+from .errors import FileFormatError, InvalidParameter
 
 
 @dataclass(frozen=True)
@@ -58,9 +49,9 @@ class Dag:
 def build_dag(n: int, edges) -> Dag:
     """Construct a validated :class:`Dag` from ``(parent, child)`` pairs.
 
-    Raises InvalidParameter for a non-positive node count, InvalidIndex /
-    SelfLoop / DuplicateEdge for malformed edges, and CycleDetected when
-    the edge set admits no topological order.
+    Raises InvalidParameter for a non-positive node count, an edge
+    outside ``[0, n)``, a self loop, a duplicate edge, or an edge set that
+    admits no topological order.
     """
     if not isinstance(n, int) or n < 1:
         raise InvalidParameter(f"node count must be a positive integer, got {n!r}")
@@ -69,11 +60,11 @@ def build_dag(n: int, edges) -> Dag:
         j, i = edge
         j, i = int(j), int(i)
         if not (0 <= j < n and 0 <= i < n):
-            raise InvalidIndex(f"edge ({j}, {i}) outside [0, {n})")
+            raise InvalidParameter(f"edge ({j}, {i}) outside [0, {n})")
         if j == i:
-            raise SelfLoop(f"self loop at node {i}")
+            raise InvalidParameter(f"self loop at node {i}")
         if j in parent_sets[i]:
-            raise DuplicateEdge(f"edge ({j}, {i}) listed twice")
+            raise InvalidParameter(f"edge ({j}, {i}) listed twice")
         parent_sets[i].add(j)
     parents = tuple(tuple(sorted(s)) for s in parent_sets)
     return Dag(n=n, parents=parents, order=_topological_order(n, parents))
@@ -98,7 +89,7 @@ def _topological_order(n: int, parents) -> tuple[int, ...]:
             if indeg[c] == 0:
                 heapq.heappush(ready, c)
     if len(order) != n:
-        raise CycleDetected("edge set contains a directed cycle")
+        raise InvalidParameter("edge set contains a directed cycle")
     return tuple(order)
 
 
@@ -128,7 +119,7 @@ def random_tree_dag(n: int, rng: np.random.Generator) -> Dag:
     except node 0 has in-degree exactly 1. Requires ``n >= 2``.
     """
     if not isinstance(n, int) or n < 2:
-        raise InvalidSize(f"a tree needs at least 2 nodes, got {n!r}")
+        raise InvalidParameter(f"a tree needs at least 2 nodes, got {n!r}")
     if n == 2:
         undirected = [(0, 1)]
     else:
@@ -194,7 +185,7 @@ def remove_random_edges(dag: Dag, k: int, rng: np.random.Generator) -> Dag:
         raise InvalidParameter(f"cannot remove {k} edges")
     edges = dag.edges()
     if k > len(edges):
-        raise NotEnoughEdges(f"graph has {len(edges)} edges, cannot remove {k}")
+        raise InvalidParameter(f"graph has {len(edges)} edges, cannot remove {k}")
     if k == 0:
         return dag
     drop = set(int(i) for i in rng.choice(len(edges), size=k, replace=False))

@@ -16,7 +16,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import gbn
-from .errors import InvalidSpec
+from .errors import InvalidParameter
 
 _LAW_KINDS = ("gaussian", "cauchy")
 
@@ -36,9 +36,9 @@ class NoiseLaw:
 
     def __post_init__(self):
         if self.kind not in _LAW_KINDS:
-            raise InvalidSpec(f"unknown noise law {self.kind!r}; expected one of {_LAW_KINDS}")
+            raise InvalidParameter(f"unknown noise law {self.kind!r}; expected one of {_LAW_KINDS}")
         if self.scale <= 0:
-            raise InvalidSpec(f"noise law scale must be positive, got {self.scale}")
+            raise InvalidParameter(f"noise law scale must be positive, got {self.scale}")
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.kind == "gaussian":
@@ -71,9 +71,9 @@ class ContaminationSpec:
 
     def validate(self, n: int) -> None:
         if not (0.0 <= self.sample_fraction <= 1.0):
-            raise InvalidSpec(f"sample_fraction must lie in [0, 1], got {self.sample_fraction}")
+            raise InvalidParameter(f"sample_fraction must lie in [0, 1], got {self.sample_fraction}")
         if not (0 <= self.node_count <= n):
-            raise InvalidSpec(f"node_count must lie in [0, {n}], got {self.node_count}")
+            raise InvalidParameter(f"node_count must lie in [0, {n}], got {self.node_count}")
 
 
 def _ceil_count(fraction: float, m: int) -> int:

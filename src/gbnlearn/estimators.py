@@ -34,15 +34,7 @@ import numpy as np
 import scipy.linalg
 
 from .dag import Dag
-from .errors import (
-    BatchTooSmall,
-    CholeskyFailed,
-    ConfigInvalid,
-    DimensionMismatch,
-    InsufficientSamples,
-    InvalidParameter,
-    RankDeficient,
-)
+from .errors import CholeskyFailed, ConfigInvalid, InsufficientSamples, InvalidParameter, RankDeficient
 from .gbn import GaussianBayesNet
 
 BATCH_METHODS = ("batch_avg", "batch_med")
@@ -107,7 +99,7 @@ class FitConfig:
             )
         if not (0.0 < self.split_fraction < 1.0):
             raise ConfigInvalid(f"split_fraction must lie in (0, 1), got {self.split_fraction}")
-        if not isinstance(self.batch_extra, int) or self.batch_extra < 0:
+        if isinstance(self.batch_extra, bool) or not isinstance(self.batch_extra, int) or self.batch_extra < 0:
             raise ConfigInvalid(f"batch_extra must be a nonnegative integer, got {self.batch_extra!r}")
         if self.method in BATCH_METHODS and self.batch_extra < 1:
             raise ConfigInvalid("batch_extra must be >= 1 for batch methods")
@@ -131,7 +123,7 @@ def _node_arrays(parent_block, target) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(parent_block, dtype=float)
     y = np.asarray(target, dtype=float)
     if x.ndim != 2 or y.shape != (x.shape[0],):
-        raise DimensionMismatch(f"incompatible shapes {x.shape} and {y.shape}")
+        raise InvalidParameter(f"incompatible shapes {x.shape} and {y.shape}")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise InvalidParameter("parent block or target contains NaN or infinite values")
     return x, y
@@ -203,7 +195,7 @@ def batch_least_squares(parent_block: np.ndarray, target: np.ndarray, k: int, ag
         raise InvalidParameter(f"aggregator must be 'mean' or 'median', got {aggregator!r}")
     m, p = x.shape
     if k <= p:
-        raise BatchTooSmall(f"batch size {k} must exceed parent count {p}")
+        raise InvalidParameter(f"batch size {k} must exceed parent count {p}")
     b = m // k
     if b < 1:
         raise InsufficientSamples(f"{m} rows cannot form a batch of {k}")
@@ -225,7 +217,7 @@ def batch_solve(square_block: np.ndarray, target: np.ndarray) -> np.ndarray:
     x = np.asarray(square_block, dtype=float)
     y = np.asarray(target, dtype=float)
     if x.ndim != 2 or x.shape[0] != x.shape[1] or y.shape != (x.shape[0],):
-        raise DimensionMismatch(f"need a square system, got {x.shape} and {y.shape}")
+        raise InvalidParameter(f"need a square system, got {x.shape} and {y.shape}")
     try:
         sol = np.linalg.solve(x, y)
         if np.all(np.isfinite(sol)):
@@ -267,7 +259,7 @@ def cauchy_est_tree_node(parent_block: np.ndarray, target: np.ndarray) -> np.nda
     x, y = _node_arrays(parent_block, target)
     m, p = x.shape
     if p < 1:
-        raise DimensionMismatch("node must have at least one parent")
+        raise InvalidParameter("node must have at least one parent")
     if m < p:
         raise InsufficientSamples(f"{m} rows cannot form a batch of {p}")
     return np.median(_batch_solve_stack(x, y), axis=0)
@@ -286,7 +278,7 @@ def cauchy_est_node(parent_block: np.ndarray, target: np.ndarray) -> np.ndarray:
     x, y = _node_arrays(parent_block, target)
     m, p = x.shape
     if p < 1:
-        raise DimensionMismatch("node must have at least one parent")
+        raise InvalidParameter("node must have at least one parent")
     if m < p + 1:
         raise InsufficientSamples(f"need at least {p + 1} rows, got {m}")
     mhat = x.T @ x / m
@@ -302,7 +294,7 @@ def empirical_mle(data: np.ndarray) -> np.ndarray:
     """Empirical second-moment matrix ``X^T X / m`` (zero-mean MLE baseline)."""
     x = np.asarray(data, dtype=float)
     if x.ndim != 2 or x.shape[0] < 1:
-        raise DimensionMismatch(f"need a nonempty 2-d sample array, got shape {x.shape}")
+        raise InvalidParameter(f"need a nonempty 2-d sample array, got shape {x.shape}")
     return x.T @ x / x.shape[0]
 
 
@@ -330,7 +322,7 @@ def variance_recovery(dag: Dag, data: np.ndarray, coeffs) -> np.ndarray:
     """
     x = np.asarray(data, dtype=float)
     if x.ndim != 2 or x.shape[1] != dag.n:
-        raise DimensionMismatch(f"expected (m, {dag.n}) samples, got shape {x.shape}")
+        raise InvalidParameter(f"expected (m, {dag.n}) samples, got shape {x.shape}")
     if x.shape[0] < 1:
         raise InsufficientSamples("variance recovery needs at least one row")
     resid = _residual_columns(dag, x, coeffs)
@@ -376,7 +368,7 @@ def fit_detailed(dag: Dag, data: np.ndarray, config: FitConfig) -> FitOutcome:
         )
     x = np.asarray(data, dtype=float)
     if x.ndim != 2 or x.shape[1] != dag.n:
-        raise DimensionMismatch(f"expected (m, {dag.n}) samples, got shape {x.shape}")
+        raise InvalidParameter(f"expected (m, {dag.n}) samples, got shape {x.shape}")
     if not np.isfinite(x).all():
         raise InvalidParameter("samples contain NaN or infinite values")
     m = x.shape[0]

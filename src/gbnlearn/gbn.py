@@ -21,16 +21,8 @@ import numpy as np
 import scipy.linalg
 
 from .dag import Dag, build_dag
-from .errors import (
-    DimensionMismatch,
-    FileFormatError,
-    InvalidIndex,
-    InvalidParameter,
-    InvalidRange,
-    NonPositiveVariance,
-    NotPositiveDefinite,
-    StructureMismatch,
-)
+from .errors import FileFormatError, InvalidParameter, NotPositiveDefinite
+
 
 @dataclass(frozen=True, eq=False)
 class GaussianBayesNet:
@@ -53,19 +45,17 @@ class GaussianBayesNet:
         object.__setattr__(self, "variances", variances)
         n = self.dag.n
         if len(coeffs) != n:
-            raise DimensionMismatch(f"expected {n} coefficient vectors, got {len(coeffs)}")
+            raise InvalidParameter(f"expected {n} coefficient vectors, got {len(coeffs)}")
         if variances.shape != (n,):
-            raise DimensionMismatch(f"expected {n} variances, got shape {variances.shape}")
+            raise InvalidParameter(f"expected {n} variances, got shape {variances.shape}")
         for i, c in enumerate(coeffs):
             want = len(self.dag.parents[i])
             if c.shape != (want,):
-                raise DimensionMismatch(
-                    f"node {i}: expected {want} coefficients, got shape {c.shape}"
-                )
+                raise InvalidParameter(f"node {i}: expected {want} coefficients, got shape {c.shape}")
             if not np.all(np.isfinite(c)):
                 raise InvalidParameter(f"node {i}: coefficients must be finite")
         if not np.all(np.isfinite(variances)) or np.any(variances <= 0):
-            raise NonPositiveVariance("noise variances must be finite and > 0")
+            raise InvalidParameter("noise variances must be finite and > 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,7 +92,7 @@ class UniformVariances:
 
     def __post_init__(self):
         if not (0 < self.low <= self.high):
-            raise InvalidRange(f"variance range must satisfy 0 < low <= high, got {self}")
+            raise InvalidParameter(f"variance range must satisfy 0 < low <= high, got {self}")
 
 
 @dataclass(frozen=True)
@@ -134,10 +124,10 @@ def random_gbn(dag: Dag, weight_range, variance_spec, rng: np.random.Generator) 
 
 
 def weight_bounds(weight_range) -> tuple[float, float]:
-    """``weight_range`` as floats ``(lo, hi)``; raises InvalidRange unless ``0 < lo < hi``."""
+    """``weight_range`` as floats ``(lo, hi)``; raises InvalidParameter unless ``0 < lo < hi``."""
     lo, hi = float(weight_range[0]), float(weight_range[1])
     if not (0 < lo < hi):
-        raise InvalidRange(f"weight magnitude range must satisfy 0 < lo < hi, got ({lo}, {hi})")
+        raise InvalidParameter(f"weight magnitude range must satisfy 0 < lo < hi, got ({lo}, {hi})")
     return lo, hi
 
 
@@ -148,11 +138,11 @@ def _draw_variances(n: int, spec, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(spec.low, spec.high, size=n)
     if isinstance(spec, IllConditionedVariances):
         if spec.sigma2 <= 0:
-            raise NonPositiveVariance("ill-conditioned variance must be > 0")
+            raise InvalidParameter("ill-conditioned variance must be > 0")
         out = np.ones(n)
         for node in spec.nodes:
             if not (0 <= node < n):
-                raise InvalidIndex(f"ill-conditioned node {node} outside [0, {n})")
+                raise InvalidParameter(f"ill-conditioned node {node} outside [0, {n})")
             out[node] = spec.sigma2
         return out
     raise InvalidParameter(f"unknown variance spec {spec!r}")
@@ -235,7 +225,7 @@ def parent_covariances(dag: Dag, cov: np.ndarray) -> list[np.ndarray | None]:
     truth computes it once and keeps only the blocks.
     """
     if cov.shape != (dag.n, dag.n):
-        raise DimensionMismatch(f"expected a {dag.n}x{dag.n} covariance, got shape {cov.shape}")
+        raise InvalidParameter(f"expected a {dag.n}x{dag.n} covariance, got shape {cov.shape}")
     return [cov[np.ix_(pa, pa)] if pa else None for pa in dag.parents]
 
 
@@ -243,7 +233,7 @@ def _resolve_parent_covs(truth: GaussianBayesNet, parent_covs):
     if parent_covs is None:
         return parent_covariances(truth.dag, covariance(truth))
     if len(parent_covs) != truth.dag.n:
-        raise DimensionMismatch(f"expected {truth.dag.n} parent covariance blocks, got {len(parent_covs)}")
+        raise InvalidParameter(f"expected {truth.dag.n} parent covariance blocks, got {len(parent_covs)}")
     return parent_covs
 
 
@@ -266,18 +256,18 @@ def dcp(true_coeffs, true_var: float, est_coeffs, est_var: float, parent_cov=Non
     true_var = float(true_var)
     est_var = float(est_var)
     if true_var <= 0 or est_var <= 0:
-        raise NonPositiveVariance("dcp needs strictly positive variances")
+        raise InvalidParameter("dcp needs strictly positive variances")
     a = np.asarray(true_coeffs, dtype=float).reshape(-1)
     ahat = np.asarray(est_coeffs, dtype=float).reshape(-1)
     if a.shape != ahat.shape:
-        raise DimensionMismatch(f"coefficient shapes differ: {a.shape} vs {ahat.shape}")
+        raise InvalidParameter(f"coefficient shapes differ: {a.shape} vs {ahat.shape}")
     p = a.size
     if p == 0:
         quad = 0.0
     else:
         m = np.asarray(parent_cov, dtype=float)
         if m.shape != (p, p):
-            raise DimensionMismatch(f"parent covariance must be {p}x{p}, got {m.shape}")
+            raise InvalidParameter(f"parent covariance must be {p}x{p}, got {m.shape}")
         delta = ahat - a
         quad = float(delta @ m @ delta)
     return 0.5 * math.log(est_var / true_var) + (true_var - est_var) / (2.0 * est_var) + quad / (
@@ -306,7 +296,7 @@ def kl_divergence(truth: GaussianBayesNet, estimate: GaussianBayesNet, *, parent
     exact KL between the two conditionals of node i, so every term is
     nonnegative and the total equals the closed-form Gaussian KL between
     the two joint distributions. Any other pair of DAGs raises
-    StructureMismatch. ``parent_covs`` takes the truth's
+    InvalidParameter. ``parent_covs`` takes the truth's
     :func:`parent_covariances`, so a caller scoring many fits against one
     truth computes them once; when omitted they are computed here from
     :func:`covariance`.
@@ -326,11 +316,11 @@ def _coeffs_on_true_parents(truth: GaussianBayesNet, estimate: GaussianBayesNet)
     """The estimate's coefficients aligned with the truth's parent lists.
 
     A node whose parents agree keeps its coefficient vector as is; a node
-    on a sub-DAG gets a zero-padded copy. Raises StructureMismatch unless
+    on a sub-DAG gets a zero-padded copy. Raises InvalidParameter unless
     the estimate's DAG is the truth's DAG or a sub-DAG of it.
     """
     if estimate.dag.n != truth.dag.n:
-        raise StructureMismatch(f"models have {truth.dag.n} and {estimate.dag.n} nodes")
+        raise InvalidParameter(f"models have {truth.dag.n} and {estimate.dag.n} nodes")
     out = []
     for i, (pa, pa_hat) in enumerate(zip(truth.dag.parents, estimate.dag.parents)):
         if pa_hat == pa:
@@ -339,7 +329,7 @@ def _coeffs_on_true_parents(truth: GaussianBayesNet, estimate: GaussianBayesNet)
         position = {j: k for k, j in enumerate(pa)}
         extra = [j for j in pa_hat if j not in position]
         if extra:
-            raise StructureMismatch(f"estimate edges {[(j, i) for j in extra]} are not in the true DAG")
+            raise InvalidParameter(f"estimate edges {[(j, i) for j in extra]} are not in the true DAG")
         padded = np.zeros(len(pa))
         padded[[position[j] for j in pa_hat]] = estimate.coeffs[i]
         out.append(padded)
@@ -395,7 +385,7 @@ def gaussian_kl(sigma_p: np.ndarray, sigma_q: np.ndarray) -> float:
     p = np.asarray(sigma_p, dtype=float)
     q = np.asarray(sigma_q, dtype=float)
     if p.ndim != 2 or p.shape[0] != p.shape[1] or p.shape != q.shape:
-        raise DimensionMismatch(f"need two square matrices of equal size, got {p.shape} and {q.shape}")
+        raise InvalidParameter(f"need two square matrices of equal size, got {p.shape} and {q.shape}")
     n = p.shape[0]
     for name, mat in (("first", p), ("second", q)):
         if not np.allclose(mat, mat.T, rtol=1e-10, atol=1e-12):
@@ -475,7 +465,7 @@ def save_samples(data: np.ndarray, path) -> None:
     """Headerless CSV, one sample per row, 17 significant digits."""
     arr = np.asarray(data, dtype=float)
     if arr.ndim != 2:
-        raise DimensionMismatch(f"samples must be a 2-d array, got shape {arr.shape}")
+        raise InvalidParameter(f"samples must be a 2-d array, got shape {arr.shape}")
     np.savetxt(path, arr, fmt=FLOAT_FMT, delimiter=",")
 
 

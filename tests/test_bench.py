@@ -28,7 +28,7 @@ from gbnlearn.bench import (
     validate_config,
     write_curve_files,
 )
-from gbnlearn.errors import ConfigInvalid, EmptyInput
+from gbnlearn.errors import ConfigInvalid, InvalidParameter
 from gbnlearn.estimators import FitConfig
 
 
@@ -518,7 +518,7 @@ class TestSummarize:
         assert [(s.method, s.m) for s in summarize(rows)] == [("a", 100), ("a", 200), ("z", 100)]
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(InvalidParameter, match="no rows to summarize"):
             summarize([])
 
 

@@ -169,13 +169,13 @@ class TestFitAndEval:
     def test_fit_flag_defaults_are_fit_config_defaults(self, tmp_path, monkeypatch):
         dag_path, _, samples_path = _generate(tmp_path)
         seen = []
-        real_fit = estimators.fit
+        real_fit = estimators.fit_detailed
 
         def recording_fit(dag, data, config):
             seen.append(config)
             return real_fit(dag, data, config)
 
-        monkeypatch.setattr(estimators, "fit", recording_fit)
+        monkeypatch.setattr(estimators, "fit_detailed", recording_fit)
         argv = ["fit", "--dag", str(dag_path), "--samples", str(samples_path), "--method", "batch_med"]
         assert cli(argv + ["--out", str(tmp_path / "est.txt")]) == EXIT_OK
         assert seen == [estimators.FitConfig(method="batch_med")]
@@ -210,6 +210,22 @@ class TestFitAndEval:
         gbn.save_samples(data, samples_path)
         code = cli(["fit", "--dag", str(dag_path), "--samples", str(samples_path), "--method", "cauchy_est", "--out", str(tmp_path / "est.txt")])
         assert code == EXIT_NUMERIC
+
+    def test_fit_with_degenerate_variance_exits_3_without_a_model(self, tmp_path, capsys):
+        # Node 1 is all zeros, so its variance estimate is floored; the CLI
+        # refuses to write that floor as if it were an estimate.
+        dag_path = tmp_path / "dag.txt"
+        dag_path.write_text("3\n0 2\n")
+        samples_path = tmp_path / "samples.csv"
+        data = np.random.default_rng(0).normal(size=(100, 3))
+        data[:, 1] = 0.0
+        gbn.save_samples(data, samples_path)
+        est_path = tmp_path / "est.txt"
+        code = cli(["fit", "--dag", str(dag_path), "--samples", str(samples_path), "--method", "least_squares", "--out", str(est_path)])
+        assert code == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err == "numerical failure: degenerate variance estimate at nodes [1]; no model written\n"
+        assert not est_path.exists()
 
     def test_fit_rejects_infinite_samples(self, tmp_path, capsys):
         dag_path, _, samples_path = _generate(tmp_path)
@@ -403,3 +419,68 @@ def test_data_error_mid_sweep_exits_2_without_results(tmp_path, overrides, messa
     assert re.fullmatch(message, proc.stderr.strip()), proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (out / "results.csv").exists()
+
+
+def _fit_argv(tmp_path, dag_text, samples):
+    dag_path = tmp_path / "dag.txt"
+    dag_path.write_text(dag_text)
+    samples_path = tmp_path / "samples.csv"
+    gbn.save_samples(samples, samples_path)
+    argv = ["fit", "--dag", str(dag_path), "--samples", str(samples_path), "--method", "least_squares"]
+    return argv + ["--out", str(tmp_path / "est.txt")]
+
+
+def _eval_argv(tmp_path):
+    truth, estimate = tmp_path / "truth.txt", tmp_path / "estimate.txt"
+    truth.write_text("node 0 sigma2 1\nnode 1 sigma2 1\n")
+    estimate.write_text("node 0 sigma2 1\nnode 1 sigma2 1\ncoef 1 0 0.5\n")
+    return ["eval", str(truth), str(estimate)]
+
+
+_GENERATE = ["generate", "--samples", "10", "--out"]
+_SAMPLES_200x6 = np.random.default_rng(0).normal(size=(200, 6))
+
+
+@pytest.mark.parametrize(
+    "make_argv, line",
+    [
+        pytest.param(
+            lambda tmp: _GENERATE + [str(tmp), "--graph", "tree", "--nodes", "1"],
+            "error: a tree needs at least 2 nodes, got 1",
+            id="tree_too_small",
+        ),
+        pytest.param(
+            lambda tmp: _GENERATE + [str(tmp), "--graph", "er", "--nodes", "5", "--degree", "9"],
+            "error: degree parameter must satisfy 0 < d <= n, got 9.0",
+            id="er_degree_above_n",
+        ),
+        pytest.param(
+            lambda tmp: _GENERATE + [str(tmp), "--graph", "tree", "--nodes", "5", "--variances", "uniform:2,1"],
+            "error: variance range must satisfy 0 < low <= high, got UniformVariances(low=2.0, high=1.0)",
+            id="uniform_variances_reversed",
+        ),
+        pytest.param(
+            lambda tmp: _GENERATE + [str(tmp), "--graph", "tree", "--nodes", "5", "--variances", "ill:7:1e-9"],
+            "error: ill-conditioned node 7 outside [0, 5)",
+            id="ill_node_out_of_range",
+        ),
+        pytest.param(
+            lambda tmp: _fit_argv(tmp, "3\n0 1\n1 1\n", _SAMPLES_200x6[:, :3]),
+            "error: {tmp}/dag.txt: self loop at node 1",
+            id="dag_file_self_loop",
+        ),
+        pytest.param(
+            lambda tmp: _fit_argv(tmp, "4\n0 1\n", _SAMPLES_200x6),
+            "error: expected (m, 4) samples, got shape (200, 6)",
+            id="samples_wider_than_dag",
+        ),
+        pytest.param(_eval_argv, "error: estimate edges [(0, 1)] are not in the true DAG", id="estimate_edge_not_in_truth"),
+    ],
+)
+def test_data_error_line_and_exit_code(tmp_path, capsys, make_argv, line):
+    # Each input error is one stderr line under exit 2, whatever the
+    # exception class behind it.
+    code = cli(make_argv(tmp_path))
+    captured = capsys.readouterr()
+    assert code == EXIT_DATA
+    assert captured.err == line.format(tmp=tmp_path) + "\n"

@@ -10,7 +10,7 @@ from gbnlearn.datagen import (
     choose_contamination_targets,
     contaminated_sample,
 )
-from gbnlearn.errors import InvalidSpec
+from gbnlearn.errors import InvalidParameter
 from gbnlearn.gbn import GaussianBayesNet, UnitVariances, random_gbn, sample
 
 
@@ -21,13 +21,13 @@ def _independent_model(n):
 
 class TestNoiseLaw:
     def test_unknown_kind(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(InvalidParameter, match=r"unknown noise law 'uniform'; expected one of \('gaussian', 'cauchy'\)"):
             NoiseLaw(kind="uniform")
 
     def test_nonpositive_scale(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(InvalidParameter, match=r"noise law scale must be positive, got 0\.0"):
             NoiseLaw(scale=0.0)
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(InvalidParameter, match=r"noise law scale must be positive, got -1\.0"):
             NoiseLaw(scale=-1.0)
 
     def test_gaussian_draw_stats(self):
@@ -45,15 +45,15 @@ class TestNoiseLaw:
 
 class TestContaminationSpec:
     def test_fraction_out_of_range(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(InvalidParameter, match=r"sample_fraction must lie in \[0, 1\], got -0\.1"):
             ContaminationSpec(sample_fraction=-0.1).validate(10)
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(InvalidParameter, match=r"sample_fraction must lie in \[0, 1\], got 1\.5"):
             ContaminationSpec(sample_fraction=1.5).validate(10)
 
     def test_node_count_out_of_range(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(InvalidParameter, match=r"node_count must lie in \[0, 10\], got -1"):
             ContaminationSpec(node_count=-1).validate(10)
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(InvalidParameter, match=r"node_count must lie in \[0, 10\], got 11"):
             ContaminationSpec(node_count=11).validate(10)
 
     def test_boundary_values_accepted(self):
@@ -171,7 +171,7 @@ class TestContaminatedSample:
     def test_spec_validated_against_model_size(self):
         model = _independent_model(3)
         spec = ContaminationSpec(sample_fraction=0.1, node_count=5)
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(InvalidParameter, match=r"node_count must lie in \[0, 3\], got 5"):
             contaminated_sample(model, 50, spec, np.random.default_rng(17), np.random.default_rng(18))
 
 

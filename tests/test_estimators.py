@@ -9,15 +9,7 @@ from hypothesis import strategies as st
 
 from gbnlearn import estimators
 from gbnlearn.dag import build_dag, random_er_dag, random_tree_dag
-from gbnlearn.errors import (
-    BatchTooSmall,
-    CholeskyFailed,
-    ConfigInvalid,
-    DimensionMismatch,
-    InsufficientSamples,
-    InvalidParameter,
-    RankDeficient,
-)
+from gbnlearn.errors import CholeskyFailed, ConfigInvalid, InsufficientSamples, InvalidParameter, RankDeficient
 from gbnlearn.estimators import (
     _LSTSQ_RCOND,
     COEFFICIENT_METHODS,
@@ -99,10 +91,10 @@ class TestLeastSquares:
             x[3, 0] = np.inf
         else:
             y[3] = np.nan
-        with pytest.raises(InvalidParameter):
+        with pytest.raises(InvalidParameter, match="parent block or target contains NaN or infinite values"):
             least_squares_node(x, y)
         for aggregator in ("mean", "median"):
-            with pytest.raises(InvalidParameter):
+            with pytest.raises(InvalidParameter, match="parent block or target contains NaN or infinite values"):
                 batch_least_squares(x, y, k=10, aggregator=aggregator)
 
     def test_fewer_rows_than_parents(self):
@@ -110,7 +102,7 @@ class TestLeastSquares:
             least_squares_node(np.array([[1.0, 2.0]]), np.array([1.0]))
 
     def test_shape_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidParameter, match=r"incompatible shapes \(3, 1\) and \(4,\)"):
             least_squares_node(np.ones((3, 1)), np.ones(4))
 
 
@@ -137,7 +129,7 @@ class TestBatchLeastSquares:
         assert batch_least_squares(x, y, k=2, aggregator="median") == pytest.approx([2.0], rel=1e-12)
 
     def test_batch_too_small(self):
-        with pytest.raises(BatchTooSmall):
+        with pytest.raises(InvalidParameter, match="batch size 2 must exceed parent count 2"):
             batch_least_squares(np.ones((10, 2)), np.ones(10), k=2, aggregator="mean")
 
     def test_not_enough_rows_for_one_batch(self):
@@ -145,7 +137,7 @@ class TestBatchLeastSquares:
             batch_least_squares(np.ones((3, 1)), np.ones(3), k=4, aggregator="mean")
 
     def test_unknown_aggregator(self):
-        with pytest.raises(InvalidParameter):
+        with pytest.raises(InvalidParameter, match="aggregator must be 'mean' or 'median', got 'mode'"):
             batch_least_squares(np.ones((4, 1)), np.ones(4), k=2, aggregator="mode")
 
     def test_rank_deficient_batches_are_skipped(self):
@@ -257,7 +249,7 @@ class TestBatchSolve:
         assert out == pytest.approx([0.5, 0.5], rel=1e-12)
 
     def test_non_square_rejected(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidParameter, match=r"need a square system, got \(2, 1\) and \(2,\)"):
             batch_solve(np.ones((2, 1)), np.ones(2))
 
 
@@ -293,7 +285,7 @@ class TestCauchyEstTree:
     def test_non_finite_input_rejected(self, where, value):
         # Not hidden by the lstsq fallback of the square solves and the median.
         x, y = _block_with(value, where)
-        with pytest.raises(InvalidParameter):
+        with pytest.raises(InvalidParameter, match="parent block or target contains NaN or infinite values"):
             cauchy_est_tree_node(x, y)
 
     def test_insufficient(self):
@@ -361,7 +353,7 @@ class TestCauchyEst:
     @pytest.mark.parametrize("value", [np.inf, np.nan])
     def test_non_finite_input_rejected(self, where, value):
         x, y = _block_with(value, where)
-        with pytest.raises(InvalidParameter):
+        with pytest.raises(InvalidParameter, match="parent block or target contains NaN or infinite values"):
             cauchy_est_node(x, y)
 
     def test_cholesky_failure_surfaces(self):
@@ -408,7 +400,7 @@ class TestEmpiricalMle:
         assert float(np.median(errs)) <= 0.02
 
     def test_empty_rejected(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidParameter, match=r"need a nonempty 2-d sample array, got shape \(0, 3\)"):
             empirical_mle(np.empty((0, 3)))
 
 
@@ -499,6 +491,12 @@ class TestFitConfig:
         with pytest.raises(ConfigInvalid):
             FitConfig(method="batch_avg", batch_extra=0)
         FitConfig(method="least_squares", batch_extra=0)  # fine elsewhere
+
+    @pytest.mark.parametrize("method", ["batch_avg", "least_squares"])
+    def test_batch_extra_rejects_a_bool(self, method):
+        # bool is an int subclass; True would pass as batch_extra 1.
+        with pytest.raises(ConfigInvalid, match="batch_extra must be a nonnegative integer, got True"):
+            FitConfig(method=method, batch_extra=True)
 
     def test_bad_variance_method(self):
         with pytest.raises(ConfigInvalid):
@@ -605,7 +603,7 @@ class TestFit:
     def test_nan_rejected(self):
         dag = build_dag(1, [])
         data = np.array([[1.0], [np.nan], [1.0], [1.0]])
-        with pytest.raises(InvalidParameter):
+        with pytest.raises(InvalidParameter, match="samples contain NaN or infinite values"):
             fit(dag, data, FitConfig(method="least_squares"))
 
     @pytest.mark.parametrize("method", COEFFICIENT_METHODS)
@@ -638,7 +636,7 @@ class TestFit:
 
     def test_wrong_width_rejected(self):
         dag = build_dag(2, [(0, 1)])
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidParameter, match=r"expected \(m, 2\) samples, got shape \(10, 3\)"):
             fit(dag, np.ones((10, 3)), FitConfig(method="least_squares"))
 
 
