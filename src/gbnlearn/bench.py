@@ -5,8 +5,9 @@ sample sizes with seeded repetitions. Per repetition, the graph, the
 true model, and one dataset at the largest sample size are generated
 once; smaller sample sizes reuse that dataset's prefix rows, so curves
 across m share randomness within a repetition. Output is plain CSV: one
-raw row per (method, m, repetition), a per-(method, m) summary, and one
-curve file per method for external plotting.
+raw row per (method, m, repetition) in ``results.csv`` and a per-(method,
+m) summary in ``summary.csv``, whose ``median_kl`` column is each method's
+KL curve.
 
 A scenario type's ``KIND`` is its JSON ``scenario.kind``, and its fields are
 the JSON keys; the contaminated scenario is :class:`gbnlearn.datagen.ContaminationSpec`.
@@ -23,7 +24,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import re
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -78,7 +78,11 @@ class AgnosticScenario:
 
 @dataclass(frozen=True)
 class MethodSpec:
-    """A labeled estimator configuration; labels must be unique in a run."""
+    """A labeled estimator configuration.
+
+    Labels must be unique in a run and hold no comma, double quote, CR or
+    LF, since each is written unquoted as a CSV cell.
+    """
 
     label: str
     config: estimators.FitConfig
@@ -147,6 +151,8 @@ def validate_config(config: ExperimentConfig) -> None:
     labels = [ms.label for ms in config.methods]
     if len(set(labels)) != len(labels):
         raise ConfigInvalid(f"method labels must be unique, got {labels}")
+    if any(c in label for label in labels for c in ',"\r\n'):
+        raise ConfigInvalid(f"method labels must not contain a comma, a double quote, CR or LF, got {labels}")
     sizes = config.sample_sizes
     if not sizes or any(s < 2 for s in sizes):
         raise ConfigInvalid("sample_sizes must be nonempty with every size >= 2")
@@ -224,32 +230,55 @@ def generate_rep_data(config: ExperimentConfig, rep: int) -> RepData:
     return RepData(truth=truth, fit_dag=fit_dag, data=data, seed=seed, rep=rep)
 
 
-def _evaluate_fit(rd: RepData, mspec: MethodSpec, m: int, truth_cov, parent_covs):
-    """(kl_total or None, degenerate) for one method at one sample size.
+def _run_cell(config: ExperimentConfig, rd: RepData, mspec: MethodSpec, m: int, truth_cov, parent_covs) -> ResultRow:
+    """The :class:`ResultRow` of one method fit on the first ``m`` rows of ``rd``.
 
     ``truth_cov`` (the truth's joint covariance, or None when no method is
     ``empirical_mle``) and ``parent_covs`` (its parent blocks) are computed
-    once per repetition.
+    once per repetition. ``fit_wall_ms`` times the fit alone, not the
+    scoring, and is 0 unless ``record_timing`` is on. A NumericalError
+    from the fit or the scoring, or a floored variance, leaves
+    ``kl_total`` None, and that is what marks the row degenerate.
     """
     data_m = rd.data[:m]
+    mle = mspec.config.method == "empirical_mle"
+    t0 = time.perf_counter()
     try:
-        if mspec.config.method == "empirical_mle":
-            cov_hat = estimators.empirical_mle(data_m)
-            return gbn.gaussian_kl(truth_cov, cov_hat), False
-        outcome = estimators.fit_detailed(rd.fit_dag, data_m, mspec.config)
-        if outcome.degenerate_nodes:
-            return None, True
-        return gbn.kl_divergence(rd.truth, outcome.model, parent_covs=parent_covs).kl_total, False
+        if mle:
+            estimate = estimators.empirical_mle(data_m)
+        else:
+            estimate = estimators.fit_detailed(rd.fit_dag, data_m, mspec.config)
     except NumericalError:
-        return None, True
+        estimate = None
+    fit_wall_ms = (time.perf_counter() - t0) * 1000.0 if config.record_timing else 0.0
+    kl_total = None
+    try:
+        if mle and estimate is not None:
+            kl_total = gbn.gaussian_kl(truth_cov, estimate)
+        elif estimate is not None and not estimate.degenerate_nodes:
+            kl_total = gbn.kl_divergence(rd.truth, estimate.model, parent_covs=parent_covs).kl_total
+    except NumericalError:
+        pass
+    g = config.graph
+    return ResultRow(
+        method=mspec.label,
+        graph=g.kind,
+        n=g.n,
+        d=float(g.degree) if g.kind == "er" else 1.0,
+        scenario=config.scenario.KIND,
+        m=m,
+        rep=rd.rep,
+        seed=rd.seed,
+        kl_total=kl_total,
+        tv_upper=None if kl_total is None else gbn.tv_upper(kl_total),
+        fit_wall_ms=fit_wall_ms,
+        degenerate=kl_total is None,
+    )
 
 
 def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     """Full sweep; rows come back sorted by (method, m, rep)."""
     validate_config(config)
-    graph_kind = config.graph.kind
-    d_param = float(config.graph.degree) if graph_kind == "er" else 1.0
-    scenario_name = config.scenario.KIND
     keep_joint = any(ms.config.method == "empirical_mle" for ms in config.methods)
     rows: list[ResultRow] = []
     for rep in range(config.repetitions):
@@ -258,27 +287,11 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
         parent_covs = gbn.parent_covariances(rd.truth.dag, truth_cov)
         if not keep_joint:
             truth_cov = None  # only the blocks stay alive through the cells
-        for mspec in config.methods:
-            for m in config.sample_sizes:
-                t0 = time.perf_counter()
-                kl, degenerate = _evaluate_fit(rd, mspec, m, truth_cov, parent_covs)
-                wall_ms = (time.perf_counter() - t0) * 1000.0 if config.record_timing else 0.0
-                rows.append(
-                    ResultRow(
-                        method=mspec.label,
-                        graph=graph_kind,
-                        n=config.graph.n,
-                        d=d_param,
-                        scenario=scenario_name,
-                        m=m,
-                        rep=rep,
-                        seed=rd.seed,
-                        kl_total=kl,
-                        tv_upper=None if kl is None else gbn.tv_upper(kl),
-                        fit_wall_ms=wall_ms,
-                        degenerate=degenerate,
-                    )
-                )
+        rows.extend(
+            _run_cell(config, rd, mspec, m, truth_cov, parent_covs)
+            for mspec in config.methods
+            for m in config.sample_sizes
+        )
     rows.sort(key=lambda r: (r.method, r.m, r.rep))
     return rows
 
@@ -338,27 +351,6 @@ def render_results(rows: list[ResultRow]) -> str:
 def render_summary(summary: list[SummaryRow]) -> str:
     """``summary.csv`` text: a header of the :class:`SummaryRow` fields, one line per row."""
     return _render_csv(SummaryRow, summary)
-
-
-def _slug(label: str) -> str:
-    return re.sub(r"[^A-Za-z0-9_.-]+", "_", label)
-
-
-def write_curve_files(summary: list[SummaryRow], outdir) -> list[Path]:
-    """One ``curve_<method>.csv`` of (m, median_kl) per method, for plotting."""
-    outdir = Path(outdir)
-    by_method: dict[str, list[SummaryRow]] = {}
-    for s in summary:
-        by_method.setdefault(s.method, []).append(s)
-    paths = []
-    for method in sorted(by_method):
-        lines = ["m,median_kl"]
-        for s in sorted(by_method[method], key=lambda s: s.m):
-            lines.append(f"{s.m},{_cell(s.median_kl)}")
-        path = outdir / f"curve_{_slug(method)}.csv"
-        path.write_text("\n".join(lines) + "\n")
-        paths.append(path)
-    return paths
 
 
 # --------------------------------------------------------------------------

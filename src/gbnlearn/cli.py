@@ -151,9 +151,8 @@ def _cmd_bench(args) -> int:
     summary = bench.summarize(rows)
     (outdir / "results.csv").write_text(bench.render_results(rows))
     (outdir / "summary.csv").write_text(bench.render_summary(summary))
-    curve_paths = bench.write_curve_files(summary, outdir)
     print(f"wrote {len(rows)} rows to {outdir / 'results.csv'}")
-    print(f"wrote {outdir / 'summary.csv'} and {len(curve_paths)} curve files")
+    print(f"wrote {len(summary)} rows to {outdir / 'summary.csv'}")
     return EXIT_OK
 
 

@@ -221,5 +221,5 @@ def read_dag_file(path) -> Dag:
             raise FileFormatError(f"{path}: malformed edge line {ln!r}") from exc
     try:
         return build_dag(n, edges)
-    except Exception as exc:
+    except InvalidParameter as exc:
         raise FileFormatError(f"{path}: {exc}") from exc

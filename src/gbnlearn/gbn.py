@@ -425,7 +425,8 @@ def load_model(path) -> GaussianBayesNet:
     """Parse a model file written by :func:`save_model`.
 
     The DAG is reconstructed from the ``coef`` lines, so the file is
-    self-contained.
+    self-contained. A repeated ``node i`` or ``coef i j`` line raises
+    FileFormatError.
     """
     variances: dict[int, float] = {}
     coef_map: dict[tuple[int, int], float] = {}
@@ -436,11 +437,14 @@ def load_model(path) -> GaussianBayesNet:
         parts = ln.split()
         try:
             if parts[0] == "node" and len(parts) == 4 and parts[2] == "sigma2":
-                variances[int(parts[1])] = float(parts[3])
+                table, key = variances, int(parts[1])
             elif parts[0] == "coef" and len(parts) == 4:
-                coef_map[(int(parts[1]), int(parts[2]))] = float(parts[3])
+                table, key = coef_map, (int(parts[1]), int(parts[2]))
             else:
                 raise ValueError(f"unrecognized line {ln!r}")
+            if key in table:
+                raise ValueError(f"repeated {parts[0]} line {ln!r}")
+            table[key] = float(parts[3])
         except ValueError as exc:
             raise FileFormatError(f"{path}: {exc}") from exc
     n = len(variances)
@@ -449,7 +453,7 @@ def load_model(path) -> GaussianBayesNet:
     edges = [(j, i) for (i, j) in coef_map]
     try:
         dag = build_dag(n, edges)
-    except Exception as exc:
+    except InvalidParameter as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
     coeffs = tuple(
         np.array([coef_map[(i, j)] for j in dag.parents[i]], dtype=float) for i in range(n)
@@ -457,7 +461,7 @@ def load_model(path) -> GaussianBayesNet:
     var = np.array([variances[i] for i in range(n)])
     try:
         return GaussianBayesNet(dag=dag, coeffs=coeffs, variances=var)
-    except Exception as exc:
+    except InvalidParameter as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
 
 

@@ -3,12 +3,13 @@
 import csv
 import json
 import statistics
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gbnlearn import bench, datagen, estimators, gbn
+from gbnlearn import datagen, estimators, gbn
 from gbnlearn.bench import (
     AgnosticScenario,
     CleanScenario,
@@ -26,7 +27,6 @@ from gbnlearn.bench import (
     run_experiment,
     summarize,
     validate_config,
-    write_curve_files,
 )
 from gbnlearn.errors import ConfigInvalid, InvalidParameter
 from gbnlearn.estimators import FitConfig
@@ -73,6 +73,10 @@ MALFORMED = [
     pytest.param({"variances": {"kind": "uniform", "low": -1, "high": 2}}, id="uniform_variances_negative_low"),
     pytest.param({"variances": {"kind": "uniform", "low": 2, "high": 1}}, id="uniform_variances_reversed"),
     pytest.param({"scenario": {"kind": "agnostic", "remove_edges": 5000}}, id="remove_edges_above_complete_dag"),
+    pytest.param({"methods": [{"method": "least_squares", "label": "ls,x"}]}, id="label_comma"),
+    pytest.param({"methods": [{"method": "least_squares", "label": 'ls"x'}]}, id="label_double_quote"),
+    pytest.param({"methods": [{"method": "least_squares", "label": "ls\rx"}]}, id="label_cr"),
+    pytest.param({"methods": [{"method": "least_squares", "label": "ls\nx"}]}, id="label_lf"),
 ]
 
 
@@ -374,6 +378,28 @@ class TestRunExperiment:
         rows = run_experiment(_tiny_config(record_timing=True))
         assert any(r.fit_wall_ms > 0.0 for r in rows)
 
+    def test_timing_covers_the_fit_and_not_the_scoring(self, monkeypatch):
+        def slow(score):
+            def scored(*args, **kwargs):
+                time.sleep(0.2)
+                return score(*args, **kwargs)
+
+            return scored
+
+        monkeypatch.setattr(gbn, "kl_divergence", slow(gbn.kl_divergence))
+        monkeypatch.setattr(gbn, "gaussian_kl", slow(gbn.gaussian_kl))
+        cfg = _tiny_config(
+            methods=(
+                MethodSpec("ls", FitConfig(method="least_squares")),
+                MethodSpec("mle", FitConfig(method="empirical_mle")),
+            ),
+            repetitions=1,
+            record_timing=True,
+        )
+        rows = run_experiment(cfg)
+        assert len(rows) == 4 and not any(r.degenerate for r in rows)
+        assert all(0.0 < r.fit_wall_ms < 200.0 for r in rows)
+
     def test_validate_runs_first(self):
         with pytest.raises(ConfigInvalid):
             run_experiment(_tiny_config(repetitions=0))
@@ -583,17 +609,3 @@ class TestCsvOutput:
             expect_iqr = quartile(vals, 0.75) - quartile(vals, 0.25)
             assert float(rec["iqr_kl"]) == pytest.approx(expect_iqr, rel=1e-9)
             assert int(rec["degenerate_count"]) == 0
-
-    def test_curve_files(self, tmp_path):
-        rows = run_experiment(_tiny_config())
-        summary = summarize(rows)
-        paths = write_curve_files(summary, tmp_path)
-        assert [p.name for p in paths] == ["curve_ls.csv"]
-        lines = paths[0].read_text().splitlines()
-        assert lines[0] == "m,median_kl"
-        assert [int(line.split(",")[0]) for line in lines[1:]] == [50, 120]
-
-    def test_curve_slug_sanitizes_label(self, tmp_path):
-        summary = [bench.SummaryRow("my method/2", 10, 0.1, 0.1, 0.0, 0)]
-        (path,) = write_curve_files(summary, tmp_path)
-        assert path.name == "curve_my_method_2.csv"

@@ -267,12 +267,10 @@ class TestBench:
         cfg = self._write_config(tmp_path)
         outdir = tmp_path / "out"
         assert cli(["bench", "--config", str(cfg), "--out", str(outdir)]) == EXIT_OK
-        assert (outdir / "results.csv").exists()
-        assert (outdir / "summary.csv").exists()
-        curves = sorted(p.name for p in outdir.glob("curve_*.csv"))
-        assert curves == ["curve_batch_med_x3.csv", "curve_least_squares.csv"]
-        out = capsys.readouterr().out
-        assert "8 rows" in out  # 2 methods x 2 sizes x 2 reps
+        assert sorted(p.name for p in outdir.iterdir()) == ["results.csv", "summary.csv"]  # no curve_*.csv
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == f"wrote 8 rows to {outdir / 'results.csv'}"  # 2 methods x 2 sizes x 2 reps
+        assert out[1] == f"wrote 4 rows to {outdir / 'summary.csv'}"  # 2 methods x 2 sizes
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = self._write_config(tmp_path)
@@ -437,6 +435,15 @@ def _eval_argv(tmp_path):
     return ["eval", str(truth), str(estimate)]
 
 
+def _eval_self_argv(model_text):
+    def make_argv(tmp_path):
+        path = tmp_path / "model.txt"
+        path.write_text(model_text)
+        return ["eval", str(path), str(path)]
+
+    return make_argv
+
+
 _GENERATE = ["generate", "--samples", "10", "--out"]
 _SAMPLES_200x6 = np.random.default_rng(0).normal(size=(200, 6))
 
@@ -475,6 +482,16 @@ _SAMPLES_200x6 = np.random.default_rng(0).normal(size=(200, 6))
             id="samples_wider_than_dag",
         ),
         pytest.param(_eval_argv, "error: estimate edges [(0, 1)] are not in the true DAG", id="estimate_edge_not_in_truth"),
+        pytest.param(
+            _eval_self_argv("node 0 sigma2 1\nnode 0 sigma2 2\n"),
+            "error: {tmp}/model.txt: repeated node line 'node 0 sigma2 2'",
+            id="model_file_repeated_node",
+        ),
+        pytest.param(
+            _eval_self_argv("node 0 sigma2 1\nnode 1 sigma2 1\ncoef 1 0 0.5\ncoef 1 0 3.0\n"),
+            "error: {tmp}/model.txt: repeated coef line 'coef 1 0 3.0'",
+            id="model_file_repeated_coef",
+        ),
     ],
 )
 def test_data_error_line_and_exit_code(tmp_path, capsys, make_argv, line):
