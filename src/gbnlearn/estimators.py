@@ -129,6 +129,21 @@ def _node_arrays(parent_block, target) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
+def _solve_stack(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    # np.linalg.solve over a (b, p, p) stack with (b, p, k) right-hand
+    # sides. For p = 1 a division gives the same bits without a LAPACK
+    # call per matrix: OpenBLAS divides by the pivot when k = 1 and
+    # multiplies by its reciprocal when k > 1, so each form here matches
+    # its case. A zero pivot or an overflow leaves a non-finite row instead
+    # of raising; the callers treat such a row as a failed solve.
+    if a.shape[1] != 1:
+        return np.linalg.solve(a, rhs)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore", under="ignore"):
+        if rhs.shape[2] == 1:
+            return rhs / a
+        return rhs * (1.0 / a)
+
+
 def _lstsq_stack(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     # Least squares over a (b, k, p) stack with k >= p: one batched QR of
     # [X | y] gives R and Q^T y together, then one batched solve of the
@@ -148,7 +163,7 @@ def _lstsq_stack(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     r = r[diag.min(axis=1, initial=np.inf) > _LSTSQ_RCOND * diag.max(axis=1, initial=0.0)]
     tri = r[:, :p, :p]
     rhs = np.concatenate([r[:, :p, p:], np.broadcast_to(np.eye(p), tri.shape)], axis=2)
-    z = np.linalg.solve(tri, rhs)  # columns: the solution, then R^-1
+    z = _solve_stack(tri, rhs)  # columns: the solution, then R^-1
     cond_bound = np.linalg.norm(tri, axis=(1, 2)) * np.linalg.norm(z[..., 1:], axis=(1, 2))
     full_rank = cond_bound * _LSTSQ_RCOND < 1.0
     unsure = np.flatnonzero(~full_rank)
@@ -229,17 +244,19 @@ def batch_solve(square_block: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 def _batch_solve_stack(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     # Solutions of the floor(m / p) square batches of consecutive rows of
-    # an (m, p) block, trailing rows dropped. Vectorized solve over the
-    # (b, p, p) stack; every batch without a finite solution goes to
-    # batch_solve. One singular matrix makes the stacked solve raise,
-    # which leaves every batch without one. Bitwise identical to looping
-    # batch_solve since the same LAPACK routine runs per matrix.
+    # an (m, p) block, trailing rows dropped. One _solve_stack call over
+    # the (b, p, p) stack; every batch without a finite solution goes to
+    # batch_solve. For p > 1 one singular matrix makes the stacked LAPACK
+    # solve raise, which leaves every batch without one; for p = 1 the
+    # division marks only the singular or overflowing batches. Bitwise
+    # identical to looping batch_solve: for p > 1 the same LAPACK routine
+    # runs per matrix, and for p = 1 the division reproduces its bits.
     m, p = x.shape
     b = m // p
     xs = x[: b * p].reshape(b, p, p)
     ys = y[: b * p].reshape(b, p)
     try:
-        sols = np.linalg.solve(xs, ys[..., None])[..., 0]
+        sols = _solve_stack(xs, ys[..., None])[..., 0]
     except np.linalg.LinAlgError:
         sols = np.full((b, p), np.nan)
     for idx in np.flatnonzero(~np.all(np.isfinite(sols), axis=1)):

@@ -1,6 +1,7 @@
 """Per-node estimators, variance recovery, and the two-phase fit driver."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,9 @@ from gbnlearn.estimators import (
     DEGENERATE_VARIANCE,
     MAD_SCALE,
     FitConfig,
+    _batch_solve_stack,
     _lstsq_stack,
+    _solve_stack,
     batch_least_squares,
     batch_solve,
     cauchy_est_node,
@@ -251,6 +254,68 @@ class TestBatchSolve:
     def test_non_square_rejected(self):
         with pytest.raises(InvalidParameter, match=r"need a square system, got \(2, 1\) and \(2,\)"):
             batch_solve(np.ones((2, 1)), np.ones(2))
+
+
+def _random_magnitudes(rng, size, low, high):
+    """Random signs times 10**Uniform(low, high) times Uniform[1, 10)."""
+    signs = np.where(rng.integers(0, 2, size=size) == 0, -1.0, 1.0)
+    return signs * 10.0 ** rng.uniform(low, high, size=size) * rng.uniform(1.0, 10.0, size=size)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+class TestOneParentDivision:
+    """For p = 1 the square solves divide instead of calling LAPACK; the
+    bits must equal np.linalg.solve's, and failed solves must take the
+    same fallback as looping batch_solve."""
+
+    B = 20000
+
+    def _stack(self, k, seed):
+        # Divisors and right-hand sides over 300 decades, no overflow, with
+        # some right-hand sides subnormal so some quotients are subnormal.
+        rng = np.random.default_rng(seed)
+        a = _random_magnitudes(rng, self.B, -150, 150).reshape(self.B, 1, 1)
+        rhs = _random_magnitudes(rng, self.B * k, -150, 150).reshape(self.B, 1, k)
+        rhs[:100] = _random_magnitudes(rng, 100 * k, -318, -308).reshape(100, 1, k)
+        a[:100] = rng.uniform(1.0, 10.0, size=(100, 1, 1))
+        return a, rhs
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_solve_stack_matches_lapack_bitwise(self, k):
+        a, rhs = self._stack(k, seed=40 + k)
+        out = _solve_stack(a, rhs)
+        assert np.array_equal(_bits(out), _bits(np.linalg.solve(a, rhs)))
+
+    def test_batch_solve_stack_matches_lapack_bitwise(self):
+        a, rhs = self._stack(1, seed=43)
+        sols = _batch_solve_stack(a.reshape(self.B, 1), rhs.reshape(self.B))
+        assert np.array_equal(_bits(sols), _bits(np.linalg.solve(a, rhs)[..., 0]))
+
+    def test_lstsq_stack_matches_lapack_bitwise(self, monkeypatch):
+        # The triangle solve has two columns (the solution and R^-1); the
+        # whole kernel must give the same bits as with np.linalg.solve.
+        rng = np.random.default_rng(44)
+        scale = 10.0 ** rng.uniform(-100, 100, size=(self.B, 1, 1))
+        xs = rng.normal(size=(self.B, 6, 1)) * scale
+        ys = rng.normal(size=(self.B, 6)) * 10.0 ** rng.uniform(-100, 100, size=(self.B, 1))
+        divided = _lstsq_stack(xs, ys)
+        monkeypatch.setattr(estimators, "_solve_stack", np.linalg.solve)
+        assert np.array_equal(_bits(divided), _bits(_lstsq_stack(xs, ys)))
+
+    def test_zero_and_overflowing_divisors_fall_back_like_batch_solve(self):
+        rng = np.random.default_rng(45)
+        x, y = rng.normal(size=(12, 1)), rng.normal(size=12)
+        x[3, 0], x[7, 0] = 0.0, 1e-200
+        y[7] = 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sols = _batch_solve_stack(x, y)
+            expected = np.stack([batch_solve(x[i : i + 1], y[i : i + 1]) for i in range(12)])
+        assert not np.isfinite(sols[7, 0])
+        assert np.array_equal(_bits(sols), _bits(expected))
 
 
 class TestCauchyEstTree:
