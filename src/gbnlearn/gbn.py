@@ -192,25 +192,29 @@ def _propagate(model: GaussianBayesNet, x: np.ndarray) -> None:
 
 
 def covariance(model: GaussianBayesNet) -> np.ndarray:
-    """Exact model covariance, computed by triangular forward substitution.
+    """Exact model covariance, built one node at a time in topological order.
 
-    Writing the coefficient matrix C (in topological coordinates, strictly
-    lower triangular) and D = diag(variances), the joint satisfies
-    ``(I - C) X = eta`` and hence ``Sigma = (I - C)^-1 D (I - C)^-T``.
+    With S the covariance over the first k nodes of ``dag.order`` and
+    node k's parents at positions P with coefficients a, the structural
+    equation gives ``Cov(X_k, X_j) = a . S[P, j]`` for each earlier j and
+    ``Var(X_k) = a . S[P, P] . a + sigma2_k``. Each node costs
+    O(k * p_k), so the whole matrix costs O(n^2 * mean parent count)
+    instead of the O(n^3) of inverting ``I - C``. Each off-diagonal entry
+    is computed once and written to both triangles, so the result is
+    exactly symmetric.
     """
     dag = model.dag
     n = dag.n
     pos = np.empty(n, dtype=int)
+    pos[list(dag.order)] = np.arange(n)
+    s_topo = np.empty((n, n))
     for k, node in enumerate(dag.order):
-        pos[node] = k
-    w = np.eye(n)
-    for i in range(n):
-        for j, a in zip(dag.parents[i], model.coeffs[i]):
-            w[pos[i], pos[j]] = -a
-    linv = scipy.linalg.solve_triangular(w, np.eye(n), lower=True, unit_diagonal=True)
-    d = np.asarray(model.variances)[list(dag.order)]
-    s_topo = (linv * d) @ linv.T
-    s_topo = (s_topo + s_topo.T) / 2.0
+        pa = pos[list(dag.parents[node])]
+        a = model.coeffs[node]
+        row = a @ s_topo[pa, :k]
+        s_topo[k, :k] = row
+        s_topo[:k, k] = row
+        s_topo[k, k] = row[pa] @ a + model.variances[node]
     out = np.empty((n, n))
     out[np.ix_(dag.order, dag.order)] = s_topo
     return out

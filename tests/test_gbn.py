@@ -188,6 +188,44 @@ class TestCovariance:
             truth, _ = _random_pair(rng)
             np.linalg.cholesky(covariance(truth))  # raises if not PD
 
+    @staticmethod
+    def _inverse_oracle(model):
+        # inv(I - B) D inv(I - B)^T in node coordinates, B[i, j] = a[i<-j].
+        n = model.dag.n
+        b = np.zeros((n, n))
+        for i, (pa, a) in enumerate(zip(model.dag.parents, model.coeffs)):
+            b[i, list(pa)] = a
+        linv = np.linalg.inv(np.eye(n) - b)
+        return linv @ np.diag(model.variances) @ linv.T
+
+    def test_matches_inverse_oracle(self):
+        # 24 models: ER and tree graphs, n <= 60, unit, uniform and
+        # ill-conditioned (sigma2 = 1e-20) variances. A tiny variance on a
+        # node with parents makes the matrix singular to working precision,
+        # so Cholesky is asserted where the tiny variances sit on roots.
+        rng = np.random.default_rng(47)
+        for case in range(24):
+            n = int(rng.integers(2, 61))
+            if case % 2:
+                dag = random_er_dag(n, min(float(rng.integers(1, 6)), n - 1), rng)
+            else:
+                dag = random_tree_dag(n, rng)
+            roots = tuple(i for i in range(n) if not dag.parents[i])
+            anywhere = tuple(int(v) for v in rng.choice(n, size=max(1, n // 5), replace=False))
+            spec, factors = [
+                (UnitVariances(), True),
+                (UniformVariances(0.1, 3.0), True),
+                (IllConditionedVariances(roots, 1e-20), True),
+                (IllConditionedVariances(anywhere, 1e-20), False),
+            ][(case // 2) % 4]
+            model = random_gbn(dag, (0.5, 2.0), spec, rng)
+            cov = covariance(model)
+            oracle = self._inverse_oracle(model)
+            assert np.max(np.abs(cov - oracle)) <= 1e-12 * np.max(np.abs(oracle)), case
+            assert np.array_equal(cov, cov.T), case
+            if factors:
+                np.linalg.cholesky(cov)  # raises if not PD
+
     def test_parent_covariance_chain(self):
         dag = build_dag(3, [(0, 1), (0, 2), (1, 2)])
         model = GaussianBayesNet(
