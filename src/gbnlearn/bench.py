@@ -151,6 +151,8 @@ def validate_config(config: ExperimentConfig) -> None:
     labels = [ms.label for ms in config.methods]
     if len(set(labels)) != len(labels):
         raise ConfigInvalid(f"method labels must be unique, got {labels}")
+    if "" in labels:
+        raise ConfigInvalid(f"method labels must not be empty, got {labels}")
     if any(c in label for label in labels for c in ',"\r\n'):
         raise ConfigInvalid(f"method labels must not contain a comma, a double quote, CR or LF, got {labels}")
     sizes = config.sample_sizes

@@ -249,6 +249,11 @@ class TestValidateConfig:
         with pytest.raises(ConfigInvalid, match="unique"):
             validate_config(cfg)
 
+    def test_empty_label(self):
+        # An empty method cell reads as a missing value in results.csv.
+        with pytest.raises(ConfigInvalid, match=r"^method labels must not be empty, got \['ls', ''\]$"):
+            _parse_minimal(methods=[{"method": "least_squares", "label": "ls"}, {"method": "least_squares", "label": ""}])
+
     def test_sample_sizes_strictly_increasing(self):
         with pytest.raises(ConfigInvalid, match="increasing"):
             validate_config(_tiny_config(sample_sizes=(100, 100)))
