@@ -197,11 +197,11 @@ def covariance(model: GaussianBayesNet) -> np.ndarray:
     With S the covariance over the first k nodes of ``dag.order`` and
     node k's parents at positions P with coefficients a, the structural
     equation gives ``Cov(X_k, X_j) = a . S[P, j]`` for each earlier j and
-    ``Var(X_k) = a . S[P, P] . a + sigma2_k``. Each node costs
-    O(k * p_k), so the whole matrix costs O(n^2 * mean parent count)
-    instead of the O(n^3) of inverting ``I - C``. Each off-diagonal entry
-    is computed once and written to both triangles, so the result is
-    exactly symmetric.
+    ``Var(X_k) = a . S[P, P] . a + sigma2_k``. Node k costs O(k * p_k),
+    so the matrix costs O(n^2 * mean parent count), where the closed form
+    ``(I - C)^-1 D (I - C)^-T`` over the coefficient matrix C would cost
+    O(n^3). Each off-diagonal entry is computed once and written to both
+    triangles, so the result is exactly symmetric.
     """
     dag = model.dag
     n = dag.n
