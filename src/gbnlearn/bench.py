@@ -9,8 +9,9 @@ raw row per (method, m, repetition) in ``results.csv`` and a per-(method,
 m) summary in ``summary.csv``, whose ``median_kl`` column is each method's
 KL curve.
 
-A scenario type's ``KIND`` is its JSON ``scenario.kind``, and its fields are
-the JSON keys; the contaminated scenario is :class:`gbnlearn.datagen.ContaminationSpec`.
+Each JSON config object is read from its dataclass, whose fields are its keys;
+a scenario or variance class's ``KIND`` is its JSON ``kind``. The contaminated
+scenario is :class:`gbnlearn.datagen.ContaminationSpec`.
 
 Reproducibility contract: with ``record_timing`` off (the default) the
 pair (config, base_seed) determines every output byte. Per-repetition
@@ -25,6 +26,8 @@ import dataclasses
 import json
 import math
 import time
+import types
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import ClassVar
@@ -395,73 +398,74 @@ def _tuple_of(item, length=None):
     return convert
 
 
-def _fields(obj, context: str, required, converters) -> dict:
-    """The keys present in JSON object ``obj``, each through its converter.
+_SCALARS = {int: _int, float: _number, str: _str, bool: _bool}
 
-    A non-object, an unknown key, a missing required key, or a value its
-    converter refuses (ValueError, OverflowError, InvalidParameter) raises
-    ConfigInvalid. Absent keys stay absent, so the dataclass defaults are
-    the only defaults.
+
+def _converter(hint, context: str):
+    """The converter for a field annotated ``hint``; a nested dataclass is read under ``context``."""
+    if hint in _SCALARS:
+        return _SCALARS[hint]
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is types.UnionType:  # X | None: null is still refused
+        (inner,) = (a for a in args if a is not type(None))
+        return _converter(inner, context)
+    if origin is tuple:
+        return _tuple_of(_converter(args[0], context), None if args[-1] is Ellipsis else len(args))
+    if dataclasses.is_dataclass(hint):
+        return lambda obj: _read(hint, obj, context)
+    raise TypeError(f"no JSON converter for {hint!r}")
+
+
+def _read(cls, obj, context: str, **overrides):
+    """Dataclass ``cls`` read from JSON object ``obj``, whose keys are the fields of ``cls``.
+
+    A field without a default is a required key; absent keys take the
+    dataclass defaults. Each value passes ``overrides[key]`` or else the
+    converter of the field's annotation. A non-object, an unknown or
+    missing key, or a refused value (ValueError, OverflowError,
+    InvalidParameter) raises ConfigInvalid. Errors in an object under key
+    ``k`` name it ``k`` at the top level and ``context.k`` below it.
     """
     if not isinstance(obj, dict):
         raise ConfigInvalid(f"{context} must be an object, got {obj!r}")
-    unknown = set(obj) - set(converters)
+    fields = dataclasses.fields(cls)
+    unknown = set(obj) - {f.name for f in fields}
     if unknown:
         raise ConfigInvalid(f"{context}: unknown keys {sorted(unknown)}")
-    missing = [key for key in required if key not in obj]
+    no_default = [f.name for f in fields if f.default is f.default_factory is dataclasses.MISSING]
+    missing = [name for name in no_default if name not in obj]
     if missing:
         raise ConfigInvalid(f"{context}: missing required keys {missing}")
+    hints = typing.get_type_hints(cls)
     out = {}
     for key, value in obj.items():
+        nested = key if context == "config" else f"{context}.{key}"
+        convert = overrides.get(key) or _converter(hints[key], nested)
         try:
-            out[key] = converters[key](value)
+            out[key] = convert(value)
         except (ValueError, OverflowError, InvalidParameter) as exc:
             raise ConfigInvalid(f"{context}.{key}: {exc}") from exc
-    return out
+    return cls(**out)
 
 
-def _by_kind(context: str, kinds: dict):
-    """Converter for an object whose ``kind`` picks ``(build, required, converters)`` from ``kinds``."""
+def _by_kind(context: str, *classes):
+    """Converter for an object whose ``kind`` is the ``KIND`` of one of ``classes``."""
+    kinds = {cls.KIND: cls for cls in classes}
 
     def convert(obj):
         kind = obj.get("kind") if isinstance(obj, dict) else None
         if not isinstance(kind, str) or kind not in kinds:
             raise ConfigInvalid(f"{context}: expected an object with kind in {sorted(kinds)}, got {obj!r}")
-        build, required, converters = kinds[kind]
-        fields = _fields(obj, context, required, {"kind": _str, **converters})
-        del fields["kind"]
-        return build(**fields)
+        return _read(kinds[kind], {key: value for key, value in obj.items() if key != "kind"}, context)
 
     return convert
 
 
-def _law(obj) -> datagen.NoiseLaw:
-    return datagen.NoiseLaw(**_fields(obj, "scenario.law", (), {"kind": _str, "location": _number, "scale": _number}))
+@dataclass(frozen=True)
+class _MethodEntry(estimators.FitConfig):
+    """A ``methods[]`` entry as written in JSON: the FitConfig keys plus an optional label."""
 
-
-_SCENARIO_KINDS = {
-    CleanScenario.KIND: (CleanScenario, (), {}),
-    datagen.ContaminationSpec.KIND: (
-        datagen.ContaminationSpec,
-        (),
-        {"sample_fraction": _number, "node_count": _int, "law": _law},
-    ),
-    IllConditionedScenario.KIND: (
-        IllConditionedScenario,
-        (),
-        {"sigma2": _number, "node_count": _int, "nodes": _tuple_of(_int)},
-    ),
-    AgnosticScenario.KIND: (AgnosticScenario, ("remove_edges",), {"remove_edges": _int}),
-}
-
-_VARIANCE_KINDS = {
-    "unit": (gbn.UnitVariances, (), {}),
-    "uniform": (gbn.UniformVariances, ("low", "high"), {"low": _number, "high": _number}),
-}
-
-
-def _graph(obj) -> GraphSpec:
-    return GraphSpec(**_fields(obj, "graph", ("kind", "n"), {"kind": _str, "n": _int, "degree": _number}))
+    label: str | None = None
 
 
 def _default_label(cfg: estimators.FitConfig) -> str:
@@ -474,30 +478,24 @@ def _default_label(cfg: estimators.FitConfig) -> str:
 
 
 def _method(obj) -> MethodSpec:
-    keys = {"method": _str, "batch_extra": _int, "split_fraction": _number, "variance_method": _str, "label": _str}
-    fields = _fields(obj, "methods[]", ("method",), keys)
-    label = fields.pop("label", None)
+    fields = dataclasses.asdict(_read(_MethodEntry, obj, "methods[]"))
+    label = fields.pop("label")
     cfg = estimators.FitConfig(**fields)
     return MethodSpec(label=_default_label(cfg) if label is None else label, config=cfg)
 
 
-_CONFIG_KEYS = {
-    "graph": _graph,
-    "weight_range": _tuple_of(_number, length=2),
-    "variances": _by_kind("variances", _VARIANCE_KINDS),
-    "scenario": _by_kind("scenario", _SCENARIO_KINDS),
-    "methods": _tuple_of(_method),
-    "sample_sizes": _tuple_of(_int),
-    "repetitions": _int,
-    "base_seed": _int,
-    "record_timing": _bool,
-}
-
-
 def parse_config(obj: dict) -> ExperimentConfig:
     """Build and validate an :class:`ExperimentConfig` from parsed JSON."""
-    required = ("graph", "methods", "sample_sizes", "repetitions", "base_seed")
-    config = ExperimentConfig(**_fields(obj, "config", required, _CONFIG_KEYS))
+    config = _read(
+        ExperimentConfig,
+        obj,
+        "config",
+        methods=_tuple_of(_method),
+        variances=_by_kind("variances", gbn.UnitVariances, gbn.UniformVariances),
+        scenario=_by_kind(
+            "scenario", CleanScenario, datagen.ContaminationSpec, IllConditionedScenario, AgnosticScenario
+        ),
+    )
     validate_config(config)
     return config
 

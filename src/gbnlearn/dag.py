@@ -120,11 +120,8 @@ def random_tree_dag(n: int, rng: np.random.Generator) -> Dag:
     """
     if not isinstance(n, int) or n < 2:
         raise InvalidParameter(f"a tree needs at least 2 nodes, got {n!r}")
-    if n == 2:
-        undirected = [(0, 1)]
-    else:
-        seq = [int(v) for v in rng.integers(0, n, size=n - 2)]
-        undirected = _decode_prufer(n, seq)
+    seq = [int(v) for v in rng.integers(0, n, size=n - 2)]
+    undirected = _decode_prufer(n, seq)
     adj: list[list[int]] = [[] for _ in range(n)]
     for a, b in undirected:
         adj[a].append(b)

@@ -58,10 +58,12 @@ class ContaminationSpec:
     The corrupted rows form one contiguous block rather than a scatter:
     since rows are i.i.d. their position carries no information, and a
     block keeps the corruption confined to a minority of the consecutive
-    batches used by the batch estimators — the regime in which the
-    batch-median estimators are designed to survive gross errors. A
-    uniform scatter at 5% would corrupt most size-21 batches
-    (1 - 0.95^21 ~ 0.66) and no aggregator could survive that.
+    batches used by the batch estimators. The placement matters for
+    ``batch_med``, whose batches have p + ``batch_extra`` rows: a uniform
+    scatter at 5% would corrupt most size-21 batches (1 - 0.95^21 ~ 0.66),
+    more than its median can outvote. The Cauchy methods solve p-row
+    batches, one row on a tree, so there a scatter at rate f corrupts a
+    fraction f of their batches, the same as a block.
     """
 
     KIND: ClassVar[str] = "contaminated"

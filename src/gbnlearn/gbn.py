@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 import scipy.linalg
@@ -82,11 +83,14 @@ class EvalReport:
 class UnitVariances:
     """Every node gets noise variance 1."""
 
+    KIND: ClassVar[str] = "unit"
+
 
 @dataclass(frozen=True)
 class UniformVariances:
     """Noise variances drawn i.i.d. uniform from [low, high), ``0 < low <= high``."""
 
+    KIND: ClassVar[str] = "uniform"
     low: float
     high: float
 
@@ -233,14 +237,6 @@ def parent_covariances(dag: Dag, cov: np.ndarray) -> list[np.ndarray | None]:
     return [cov[np.ix_(pa, pa)] if pa else None for pa in dag.parents]
 
 
-def _resolve_parent_covs(truth: GaussianBayesNet, parent_covs):
-    if parent_covs is None:
-        return parent_covariances(truth.dag, covariance(truth))
-    if len(parent_covs) != truth.dag.n:
-        raise InvalidParameter(f"expected {truth.dag.n} parent covariance blocks, got {len(parent_covs)}")
-    return parent_covs
-
-
 # --------------------------------------------------------------------------
 # evaluation
 
@@ -306,7 +302,10 @@ def kl_divergence(truth: GaussianBayesNet, estimate: GaussianBayesNet, *, parent
     :func:`covariance`.
     """
     est_coeffs = _coeffs_on_true_parents(truth, estimate)
-    parent_covs = _resolve_parent_covs(truth, parent_covs)
+    if parent_covs is None:
+        parent_covs = parent_covariances(truth.dag, covariance(truth))
+    elif len(parent_covs) != truth.dag.n:
+        raise InvalidParameter(f"expected {truth.dag.n} parent covariance blocks, got {len(parent_covs)}")
     per_node = np.empty(truth.dag.n)
     for i in range(truth.dag.n):
         per_node[i] = dcp(
@@ -340,7 +339,7 @@ def _coeffs_on_true_parents(truth: GaussianBayesNet, estimate: GaussianBayesNet)
     return tuple(out)
 
 
-def condition_predicates(truth: GaussianBayesNet, estimate: GaussianBayesNet, eps: float, *, parent_covs=None):
+def condition_predicates(truth: GaussianBayesNet, estimate: GaussianBayesNet, eps: float):
     """Per-node error-budget predicates for a total budget ``eps``.
 
     Node i's share of the budget is ``eps * p_i / (n * d_avg)``. The
@@ -352,13 +351,12 @@ def condition_predicates(truth: GaussianBayesNet, estimate: GaussianBayesNet, ep
     bracket would be unsatisfiable by any finite-sample estimate. A
     graph with no edges falls back to ``n`` as the normalizer for the
     same reason. Parent counts are those of the true DAG; the estimate
-    may sit on a sub-DAG of it, as in :func:`kl_divergence`, which also
-    describes ``parent_covs``.
+    may sit on a sub-DAG of it, as in :func:`kl_divergence`.
     """
     if eps <= 0:
         raise InvalidParameter(f"error budget must be positive, got {eps}")
     est_coeffs = _coeffs_on_true_parents(truth, estimate)
-    parent_covs = _resolve_parent_covs(truth, parent_covs)
+    parent_covs = parent_covariances(truth.dag, covariance(truth))
     dag = truth.dag
     total_edges = dag.num_edges
     denom = total_edges if total_edges > 0 else dag.n

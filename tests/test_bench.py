@@ -28,7 +28,7 @@ from gbnlearn.bench import (
     summarize,
     validate_config,
 )
-from gbnlearn.errors import ConfigInvalid, InvalidParameter
+from gbnlearn.errors import ConfigInvalid, InvalidParameter, NotPositiveDefinite, NumericalError, RankDeficient
 from gbnlearn.estimators import FitConfig
 
 
@@ -55,28 +55,95 @@ def _ill_conditioned(**keys):
     return {"scenario": {"kind": "ill_conditioned", **keys}}
 
 
-# Malformed values, each applied to configs/clean_er.json (ER n = 100).
+# Malformed values, each applied to configs/clean_er.json (ER n = 100), and
+# the ConfigInvalid message each gives.
 MALFORMED = [
-    pytest.param(_contaminated(law=5), id="law_number"),
-    pytest.param(_contaminated(law=["kind"]), id="law_list"),
-    pytest.param(_contaminated(sample_fraction="x"), id="sample_fraction_string"),
-    pytest.param({"sample_sizes": 5}, id="sample_sizes_scalar"),
-    pytest.param({"repetitions": "x"}, id="repetitions_string"),
-    pytest.param({"repetitions": 2.7}, id="repetitions_fraction"),
-    pytest.param({"methods": [{"method": "batch_avg", "batch_extra": "x"}]}, id="batch_extra_string"),
-    pytest.param({"weight_range": ["a", 2]}, id="weight_range_string"),
-    pytest.param({"record_timing": "false"}, id="record_timing_string"),
-    pytest.param(_ill_conditioned(node_count="2"), id="ill_node_count_string"),
-    pytest.param(_ill_conditioned(node_count=500), id="ill_node_count_above_n"),
-    pytest.param({"weight_range": [2, 1]}, id="weight_range_reversed"),
-    pytest.param({"weight_range": [0, 1]}, id="weight_range_zero_low"),
-    pytest.param({"variances": {"kind": "uniform", "low": -1, "high": 2}}, id="uniform_variances_negative_low"),
-    pytest.param({"variances": {"kind": "uniform", "low": 2, "high": 1}}, id="uniform_variances_reversed"),
-    pytest.param({"scenario": {"kind": "agnostic", "remove_edges": 5000}}, id="remove_edges_above_complete_dag"),
-    pytest.param({"methods": [{"method": "least_squares", "label": "ls,x"}]}, id="label_comma"),
-    pytest.param({"methods": [{"method": "least_squares", "label": 'ls"x'}]}, id="label_double_quote"),
-    pytest.param({"methods": [{"method": "least_squares", "label": "ls\rx"}]}, id="label_cr"),
-    pytest.param({"methods": [{"method": "least_squares", "label": "ls\nx"}]}, id="label_lf"),
+    pytest.param(_contaminated(law=5), "scenario.law must be an object, got 5", id="law_number"),
+    pytest.param(_contaminated(law=["kind"]), "scenario.law must be an object, got ['kind']", id="law_list"),
+    pytest.param(
+        _contaminated(sample_fraction="x"),
+        "scenario.sample_fraction: expected a finite number, got 'x'",
+        id="sample_fraction_string",
+    ),
+    pytest.param({"sample_sizes": 5}, "config.sample_sizes: expected a list, got 5", id="sample_sizes_scalar"),
+    pytest.param({"repetitions": "x"}, "config.repetitions: expected an integer, got 'x'", id="repetitions_string"),
+    pytest.param({"repetitions": 2.7}, "config.repetitions: expected an integer, got 2.7", id="repetitions_fraction"),
+    pytest.param(
+        {"methods": [{"method": "batch_avg", "batch_extra": "x"}]},
+        "methods[].batch_extra: expected an integer, got 'x'",
+        id="batch_extra_string",
+    ),
+    pytest.param(
+        {"weight_range": ["a", 2]},
+        "config.weight_range: expected a finite number, got 'a'",
+        id="weight_range_string",
+    ),
+    pytest.param(
+        {"record_timing": "false"},
+        "config.record_timing: expected true or false, got 'false'",
+        id="record_timing_string",
+    ),
+    pytest.param(
+        _ill_conditioned(node_count="2"),
+        "scenario.node_count: expected an integer, got '2'",
+        id="ill_node_count_string",
+    ),
+    pytest.param(
+        _ill_conditioned(node_count=500),
+        "ill_conditioned node_count / nodes out of range for n = 100: IllConditionedScenario(sigma2=1e-20, node_count=500, nodes=None)",
+        id="ill_node_count_above_n",
+    ),
+    pytest.param(
+        {"weight_range": [2, 1]},
+        "weight magnitude range must satisfy 0 < lo < hi, got (2.0, 1.0)",
+        id="weight_range_reversed",
+    ),
+    pytest.param(
+        {"weight_range": [0, 1]},
+        "weight magnitude range must satisfy 0 < lo < hi, got (0.0, 1.0)",
+        id="weight_range_zero_low",
+    ),
+    pytest.param(
+        {"variances": {"kind": "uniform", "low": -1, "high": 2}},
+        "config.variances: variance range must satisfy 0 < low <= high, got UniformVariances(low=-1.0, high=2.0)",
+        id="uniform_variances_negative_low",
+    ),
+    pytest.param(
+        {"variances": {"kind": "uniform", "low": 2, "high": 1}},
+        "config.variances: variance range must satisfy 0 < low <= high, got UniformVariances(low=2.0, high=1.0)",
+        id="uniform_variances_reversed",
+    ),
+    pytest.param(
+        {"scenario": {"kind": "agnostic", "remove_edges": 5000}},
+        "remove_edges must lie in [0, 4950] for GraphSpec(kind='er', n=100, degree=5.0), got 5000",
+        id="remove_edges_above_complete_dag",
+    ),
+    pytest.param(
+        {"methods": [{"method": "least_squares", "label": "ls,x"}]},
+        "method labels must not contain a comma, a double quote, CR or LF, got ['ls,x']",
+        id="label_comma",
+    ),
+    pytest.param(
+        {"methods": [{"method": "least_squares", "label": 'ls"x'}]},
+        'method labels must not contain a comma, a double quote, CR or LF, got [\'ls"x\']',
+        id="label_double_quote",
+    ),
+    pytest.param(
+        {"methods": [{"method": "least_squares", "label": "ls\rx"}]},
+        "method labels must not contain a comma, a double quote, CR or LF, got ['ls\\rx']",
+        id="label_cr",
+    ),
+    pytest.param(
+        {"methods": [{"method": "least_squares", "label": "ls\nx"}]},
+        "method labels must not contain a comma, a double quote, CR or LF, got ['ls\\nx']",
+        id="label_lf",
+    ),
+    pytest.param({"methods": []}, "at least one method is required", id="methods_empty"),
+    pytest.param(
+        _ill_conditioned(node_count=5, sigma2=0),
+        "ill_conditioned sigma2 must be > 0, got 0.0",
+        id="ill_sigma2_zero",
+    ),
 ]
 
 
@@ -204,12 +271,13 @@ class TestParseConfig:
         assert law == datagen.NoiseLaw()
         assert _parse_minimal().methods[0].config == FitConfig(method="least_squares")
 
-    @pytest.mark.parametrize("change", MALFORMED)
-    def test_malformed_value_is_config_invalid(self, change):
+    @pytest.mark.parametrize("change, message", MALFORMED)
+    def test_malformed_value_is_config_invalid(self, change, message):
         obj = json.loads((ROOT / "configs" / "clean_er.json").read_text())
         obj.update(change)
-        with pytest.raises(ConfigInvalid):
+        with pytest.raises(ConfigInvalid) as info:
             parse_config(obj)
+        assert str(info.value) == message
 
     def test_load_config_rejects_bad_json(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -475,6 +543,57 @@ class TestScenarios:
         cfg = _tiny_config(scenario=IllConditionedScenario(node_count=2))
         rd = generate_rep_data(cfg, 0)
         assert np.sum(rd.truth.variances == 1e-20) == 2
+
+    def test_ill_conditioned_default_sigma2_scores_only_cauchy(self, monkeypatch):
+        # At sigma2 = 1e-20 an ill node is its parents' linear combination to
+        # working precision: every least-squares design and batch that holds
+        # one is rank deficient, and the truth covariance has no Cholesky
+        # factor. Both NumericalErrors leave the row degenerate.
+        raised = []
+
+        def recording(fn):
+            def wrapped(*args, **kwargs):
+                try:
+                    return fn(*args, **kwargs)
+                except NumericalError as exc:
+                    raised.append(type(exc))
+                    raise
+
+            return wrapped
+
+        monkeypatch.setattr(estimators, "fit_detailed", recording(estimators.fit_detailed))
+        monkeypatch.setattr(gbn, "gaussian_kl", recording(gbn.gaussian_kl))
+        rows = run_experiment(
+            parse_config(
+                {
+                    "graph": {"kind": "er", "n": 30, "degree": 3.0},
+                    "scenario": {"kind": "ill_conditioned", "node_count": 5},
+                    "methods": [
+                        {"method": "least_squares"},
+                        {"method": "batch_avg", "batch_extra": 5},
+                        {"method": "batch_med"},
+                        {"method": "cauchy_est_tree"},
+                        {"method": "cauchy_est"},
+                        {"method": "empirical_mle"},
+                    ],
+                    "sample_sizes": [200, 400],
+                    "repetitions": 2,
+                    "base_seed": 0,
+                }
+            )
+        )
+        degenerate = {}
+        for r in rows:
+            degenerate.setdefault(r.method, []).append(r.degenerate)
+        assert degenerate == {
+            "least_squares": [True] * 4,
+            "batch_avg_x5": [True] * 4,
+            "batch_med_x20": [True] * 4,
+            "cauchy_est_tree": [False] * 4,
+            "cauchy_est": [False] * 4,
+            "empirical_mle": [True] * 4,
+        }
+        assert RankDeficient in raised and NotPositiveDefinite in raised
 
     def test_agnostic_fit_dag_is_thinner_and_kl_floors(self):
         cfg = ExperimentConfig(

@@ -472,6 +472,11 @@ _SAMPLES_200x6 = np.random.default_rng(0).normal(size=(200, 6))
             id="ill_node_out_of_range",
         ),
         pytest.param(
+            lambda tmp: _GENERATE + [str(tmp), "--graph", "tree", "--nodes", "5", "--variances", "ill:1:0"],
+            "error: ill-conditioned variance must be > 0",
+            id="ill_variance_zero",
+        ),
+        pytest.param(
             lambda tmp: _fit_argv(tmp, "3\n0 1\n1 1\n", _SAMPLES_200x6[:, :3]),
             "error: {tmp}/dag.txt: self loop at node 1",
             id="dag_file_self_loop",

@@ -109,8 +109,11 @@ class TestIsPolytree:
 
 class TestRandomTree:
     def test_two_nodes(self):
-        dag = random_tree_dag(2, np.random.default_rng(0))
+        rng = np.random.default_rng(0)
+        dag = random_tree_dag(2, rng)
         assert dag.edges() == [(0, 1)]
+        # The empty Prufer sequence draws nothing from the stream.
+        assert rng.integers(0, 2**62) == np.random.default_rng(0).integers(0, 2**62)
 
     def test_too_small(self):
         with pytest.raises(InvalidParameter, match="a tree needs at least 2 nodes, got 1"):

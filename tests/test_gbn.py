@@ -426,18 +426,11 @@ class TestKlDivergence:
                 b = kl_divergence(truth, estimate, parent_covs=blocks)
                 assert np.array_equal(a.per_node_dcp, b.per_node_dcp)
                 assert a.kl_total == b.kl_total and a.tv_upper == b.tv_upper
-                for c, d in zip(
-                    condition_predicates(truth, estimate, 0.5),
-                    condition_predicates(truth, estimate, 0.5, parent_covs=blocks),
-                ):
-                    assert np.array_equal(c, d)
 
     def test_parent_covs_length_checked(self):
         truth = _chain_model()
         with pytest.raises(InvalidParameter, match="expected 2 parent covariance blocks, got 1"):
             kl_divergence(truth, truth, parent_covs=[None])
-        with pytest.raises(InvalidParameter, match="expected 2 parent covariance blocks, got 1"):
-            condition_predicates(truth, truth, 0.5, parent_covs=[None])
 
 
 class TestConditionPredicates:
