@@ -90,6 +90,8 @@ def _parse_variances(text: str):
 
 
 def _cmd_generate(args) -> int:
+    if args.seed < 0:
+        raise ConfigInvalid(f"--seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     if args.graph == "er":
         if args.degree is None:
@@ -144,11 +146,10 @@ def _cmd_bench(args) -> int:
     config = bench.load_config(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, base_seed=args.seed)
-        bench.validate_config(config)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     rows = bench.run_experiment(config)
     summary = bench.summarize(rows)
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "results.csv").write_text(bench.render_results(rows))
     (outdir / "summary.csv").write_text(bench.render_summary(summary))
     print(f"wrote {len(rows)} rows to {outdir / 'results.csv'}")

@@ -12,6 +12,7 @@ oriented from the lower index to the higher one.
 from __future__ import annotations
 
 import heapq
+import numbers
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -46,6 +47,13 @@ class Dag:
         return out
 
 
+def as_count(value, low: int, message: str) -> int:
+    """``value`` as an int if it is a non-bool integer >= ``low``, else InvalidParameter(message.format(value))."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise InvalidParameter(message.format(value))
+    return int(value)
+
+
 def build_dag(n: int, edges) -> Dag:
     """Construct a validated :class:`Dag` from ``(parent, child)`` pairs.
 
@@ -53,8 +61,7 @@ def build_dag(n: int, edges) -> Dag:
     outside ``[0, n)``, a self loop, a duplicate edge, or an edge set that
     admits no topological order.
     """
-    if not isinstance(n, int) or n < 1:
-        raise InvalidParameter(f"node count must be a positive integer, got {n!r}")
+    n = as_count(n, 1, "node count must be a positive integer, got {!r}")
     parent_sets: list[set[int]] = [set() for _ in range(n)]
     for edge in edges:
         j, i = edge
@@ -118,8 +125,7 @@ def random_tree_dag(n: int, rng: np.random.Generator) -> Dag:
     ``n - 2`` and every edge is directed away from the root, so each node
     except node 0 has in-degree exactly 1. Requires ``n >= 2``.
     """
-    if not isinstance(n, int) or n < 2:
-        raise InvalidParameter(f"a tree needs at least 2 nodes, got {n!r}")
+    n = as_count(n, 2, "a tree needs at least 2 nodes, got {!r}")
     seq = [int(v) for v in rng.integers(0, n, size=n - 2)]
     undirected = _decode_prufer(n, seq)
     adj: list[list[int]] = [[] for _ in range(n)]
@@ -166,8 +172,7 @@ def random_er_dag(n: int, d: float, rng: np.random.Generator) -> Dag:
     makes the result acyclic by construction. The expected edge count is
     ``C(n, 2) * d / n``.
     """
-    if not isinstance(n, int) or n < 1:
-        raise InvalidParameter(f"node count must be a positive integer, got {n!r}")
+    n = as_count(n, 1, "node count must be a positive integer, got {!r}")
     if not (0 < d <= n):
         raise InvalidParameter(f"degree parameter must satisfy 0 < d <= n, got {d!r}")
     lo, hi = np.triu_indices(n, k=1)
@@ -178,8 +183,7 @@ def random_er_dag(n: int, d: float, rng: np.random.Generator) -> Dag:
 
 def remove_random_edges(dag: Dag, k: int, rng: np.random.Generator) -> Dag:
     """New DAG with ``k`` edges removed, chosen uniformly without replacement."""
-    if k < 0:
-        raise InvalidParameter(f"cannot remove {k} edges")
+    k = as_count(k, 0, "cannot remove {} edges")
     edges = dag.edges()
     if k > len(edges):
         raise InvalidParameter(f"graph has {len(edges)} edges, cannot remove {k}")

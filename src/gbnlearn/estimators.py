@@ -20,10 +20,8 @@ coefficient vector:
 ``fit`` drives a full model estimate: the first ``floor(split * m)`` rows
 feed the coefficient method and the remaining rows feed variance
 recovery (mean of squared residuals, or a median-absolute-deviation
-estimate for contaminated data). ``_METHOD_TABLE`` holds, once per
-method, the coefficient rows a node needs and the kernel ``fit`` calls;
-a node with fewer rows raises InsufficientSamples naming the node and
-the method.
+estimate for contaminated data). Each kernel checks its own row need;
+``fit`` names the node and the method on every kernel error.
 """
 
 from __future__ import annotations
@@ -34,28 +32,21 @@ import numpy as np
 import scipy.linalg
 
 from .dag import Dag
-from .errors import CholeskyFailed, ConfigInvalid, InsufficientSamples, InvalidParameter, RankDeficient
+from .errors import CholeskyFailed, ConfigInvalid, GbnError, InsufficientSamples, InvalidParameter, RankDeficient
 from .gbn import GaussianBayesNet
 
 BATCH_METHODS = ("batch_avg", "batch_med")
 
-# Per coefficient method: the coefficient rows m1 that a node with p
-# parents needs, and the kernel that turns the node's (m1, p) parent block
-# x and target y into coefficients. Each kernel is named inside a lambda,
-# so it is looked up in this module at fit time and a patched module
-# attribute sees every call.
+# Per coefficient method: the kernel that turns a node's (m1, p) parent
+# block x and target y into coefficients. Each kernel is named inside a
+# lambda, so it is looked up in this module at fit time and a patched
+# module attribute sees every call.
 _METHOD_TABLE = {
-    "least_squares": (lambda p, extra: p, lambda x, y, extra: least_squares_node(x, y)),
-    "batch_avg": (
-        lambda p, extra: p + extra,
-        lambda x, y, extra: batch_least_squares(x, y, x.shape[1] + extra, "mean"),
-    ),
-    "batch_med": (
-        lambda p, extra: p + extra,
-        lambda x, y, extra: batch_least_squares(x, y, x.shape[1] + extra, "median"),
-    ),
-    "cauchy_est": (lambda p, extra: p + 1, lambda x, y, extra: cauchy_est_node(x, y)),
-    "cauchy_est_tree": (lambda p, extra: p, lambda x, y, extra: cauchy_est_tree_node(x, y)),
+    "least_squares": lambda x, y, extra: least_squares_node(x, y),
+    "batch_avg": lambda x, y, extra: batch_least_squares(x, y, x.shape[1] + extra, "mean"),
+    "batch_med": lambda x, y, extra: batch_least_squares(x, y, x.shape[1] + extra, "median"),
+    "cauchy_est": lambda x, y, extra: cauchy_est_node(x, y),
+    "cauchy_est_tree": lambda x, y, extra: cauchy_est_tree_node(x, y),
 }
 COEFFICIENT_METHODS = tuple(_METHOD_TABLE)
 METHODS = COEFFICIENT_METHODS + ("empirical_mle",)
@@ -176,8 +167,8 @@ def _lstsq_stack(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 def least_squares_node(parent_block: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Ordinary least squares of ``target`` on ``parent_block``.
 
-    Solved through the QR factorization ``X = QR``. Raises RankDeficient
-    when there are fewer rows than parents, or when the smallest singular
+    Solved through ``X = QR``. Raises InsufficientSamples when there are
+    fewer rows than parents, RankDeficient when the smallest singular
     value of ``X`` is at most ``_LSTSQ_RCOND`` times the largest (the rank
     rule of ``np.linalg.lstsq(rcond=_LSTSQ_RCOND)``), and InvalidParameter
     when the input holds NaN or +-inf.
@@ -185,7 +176,7 @@ def least_squares_node(parent_block: np.ndarray, target: np.ndarray) -> np.ndarr
     x, y = _node_arrays(parent_block, target)
     m, p = x.shape
     if m < p:
-        raise RankDeficient(f"design matrix has {m} rows < {p} parents")
+        raise InsufficientSamples(f"needs at least {p} rows, got {m}")
     sols = _lstsq_stack(x[None], y[None])
     if not len(sols):
         raise RankDeficient(f"design matrix has relative singular value <= {_LSTSQ_RCOND}")
@@ -213,7 +204,7 @@ def batch_least_squares(parent_block: np.ndarray, target: np.ndarray, k: int, ag
         raise InvalidParameter(f"batch size {k} must exceed parent count {p}")
     b = m // k
     if b < 1:
-        raise InsufficientSamples(f"{m} rows cannot form a batch of {k}")
+        raise InsufficientSamples(f"needs at least {k} rows, got {m}")
     stacked = _lstsq_stack(x[: b * k].reshape(b, k, p), y[: b * k].reshape(b, k))
     if not len(stacked):
         raise RankDeficient(f"all {b} batches were rank deficient")
@@ -278,7 +269,7 @@ def cauchy_est_tree_node(parent_block: np.ndarray, target: np.ndarray) -> np.nda
     if p < 1:
         raise InvalidParameter("node must have at least one parent")
     if m < p:
-        raise InsufficientSamples(f"{m} rows cannot form a batch of {p}")
+        raise InsufficientSamples(f"needs at least {p} rows, got {m}")
     return np.median(_batch_solve_stack(x, y), axis=0)
 
 
@@ -297,7 +288,7 @@ def cauchy_est_node(parent_block: np.ndarray, target: np.ndarray) -> np.ndarray:
     if p < 1:
         raise InvalidParameter("node must have at least one parent")
     if m < p + 1:
-        raise InsufficientSamples(f"need at least {p + 1} rows, got {m}")
+        raise InsufficientSamples(f"needs at least {p + 1} rows, got {m}")
     mhat = x.T @ x / m
     try:
         ell = np.linalg.cholesky(mhat)
@@ -376,7 +367,7 @@ def fit_detailed(dag: Dag, data: np.ndarray, config: FitConfig) -> FitOutcome:
     zero is floored at ``DEGENERATE_VARIANCE`` and the node is reported
     in ``degenerate_nodes`` so callers can exclude the fit from scoring.
     Samples holding NaN or +-inf are rejected with InvalidParameter before
-    any solve.
+    any solve; a kernel error keeps its class and gains ``node i: method M:``.
     """
     if config.method == "empirical_mle":
         raise ConfigInvalid(
@@ -395,19 +386,17 @@ def fit_detailed(dag: Dag, data: np.ndarray, config: FitConfig) -> FitOutcome:
         raise InsufficientSamples(
             f"split {config.split_fraction} of {m} rows leaves ({m1}, {m2}); both phases need rows"
         )
-    required_m1, kernel = _METHOD_TABLE[config.method]
+    kernel = _METHOD_TABLE[config.method]
     coeffs: list[np.ndarray] = []
     for i in range(dag.n):
         pa = dag.parents[i]
         if not pa:
             coeffs.append(np.zeros(0))
             continue
-        need = required_m1(len(pa), config.batch_extra)
-        if m1 < need:
-            raise InsufficientSamples(
-                f"node {i}: method {config.method} needs m1 >= {need}, got {m1}"
-            )
-        coeffs.append(kernel(x[:m1, pa], x[:m1, i], config.batch_extra))
+        try:
+            coeffs.append(kernel(x[:m1, pa], x[:m1, i], config.batch_extra))
+        except GbnError as exc:
+            raise type(exc)(f"node {i}: method {config.method}: {exc}") from exc
     tail = x[m1:]
     if config.variance_method == "empirical":
         variances = variance_recovery(dag, tail, coeffs)

@@ -14,6 +14,7 @@ KL divergence between the two joint distributions.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import ClassVar
@@ -21,7 +22,7 @@ from typing import ClassVar
 import numpy as np
 import scipy.linalg
 
-from .dag import Dag, build_dag
+from .dag import Dag, as_count, build_dag
 from .errors import FileFormatError, InvalidParameter, NotPositiveDefinite
 
 
@@ -172,8 +173,7 @@ def sample(model: GaussianBayesNet, m: int, rng: np.random.Generator) -> np.ndar
 
 def _draw_noise(model: GaussianBayesNet, m: int, rng: np.random.Generator) -> np.ndarray:
     """The ``(m, n)`` column-major noise matrix, columns drawn from ``rng`` in topological order."""
-    if not isinstance(m, int) or m < 1:
-        raise InvalidParameter(f"sample count must be a positive integer, got {m!r}")
+    m = as_count(m, 1, "sample count must be a positive integer, got {!r}")
     dag = model.dag
     x = np.empty((m, dag.n), order="F")
     sigmas = np.sqrt(model.variances)
@@ -478,12 +478,16 @@ def save_samples(data: np.ndarray, path) -> None:
 def load_samples(path) -> np.ndarray:
     """Read a samples CSV written by :func:`save_samples`.
 
-    A file holding NaN or +-inf raises FileFormatError.
+    A file holding no rows, NaN or +-inf raises FileFormatError.
     """
     try:
-        arr = np.loadtxt(path, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            arr = np.loadtxt(path, delimiter=",", ndmin=2)
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
+    if not len(arr):
+        raise FileFormatError(f"{path}: no samples")
     if not np.isfinite(arr).all():
         raise FileFormatError(f"{path}: samples contain NaN or infinite values")
     return arr

@@ -211,6 +211,40 @@ class TestFitAndEval:
         code = cli(["fit", "--dag", str(dag_path), "--samples", str(samples_path), "--method", "cauchy_est", "--out", str(tmp_path / "est.txt")])
         assert code == EXIT_NUMERIC
 
+    @pytest.mark.parametrize(
+        "method, line",
+        [
+            pytest.param(
+                "least_squares",
+                re.escape(
+                    "numerical failure: node 3: method least_squares: "
+                    f"design matrix has relative singular value <= {estimators._LSTSQ_RCOND}"
+                ),
+                id="least_squares",
+            ),
+            pytest.param(
+                "cauchy_est",
+                re.escape("numerical failure: node 3: method cauchy_est: empirical parent covariance is not positive definite")
+                + ".*",
+                id="cauchy_est",
+            ),
+        ],
+    )
+    def test_numerical_failure_names_node_and_method(self, tmp_path, capsys, method, line):
+        # Node 3's parents 0 and 1 are collinear (column 1 = 2 x column 0).
+        dag_path = tmp_path / "dag.txt"
+        dag_path.write_text("4\n0 3\n1 3\n2 3\n")
+        samples_path = tmp_path / "samples.csv"
+        data = np.random.default_rng(0).normal(size=(200, 4))
+        data[:, 1] = 2.0 * data[:, 0]
+        gbn.save_samples(data, samples_path)
+        est_path = tmp_path / "est.txt"
+        code = cli(["fit", "--dag", str(dag_path), "--samples", str(samples_path), "--method", method, "--out", str(est_path)])
+        assert code == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert re.fullmatch(line, err.removesuffix("\n")), err
+        assert not est_path.exists()
+
     def test_fit_with_degenerate_variance_exits_3_without_a_model(self, tmp_path, capsys):
         # Node 1 is all zeros, so its variance estimate is floored; the CLI
         # refuses to write that floor as if it were an estimate.
@@ -394,7 +428,7 @@ def test_malformed_config_exits_2_without_traceback(tmp_path):
                 "methods": [{"method": "batch_med", "batch_extra": 20}],
                 "sample_sizes": [20],
             },
-            r"error: node \d+: method batch_med needs m1 >= \d+, got 10",
+            r"error: node \d+: method batch_med: needs at least \d+ rows, got 10",
             id="batch_rows_beyond_coefficient_rows",
         ),
     ],
@@ -416,7 +450,7 @@ def test_data_error_mid_sweep_exits_2_without_results(tmp_path, overrides, messa
     assert proc.returncode == EXIT_DATA
     assert re.fullmatch(message, proc.stderr.strip()), proc.stderr
     assert "Traceback" not in proc.stderr
-    assert not (out / "results.csv").exists()
+    assert not out.exists()
 
 
 def _fit_argv(tmp_path, dag_text, samples):
@@ -426,6 +460,12 @@ def _fit_argv(tmp_path, dag_text, samples):
     gbn.save_samples(samples, samples_path)
     argv = ["fit", "--dag", str(dag_path), "--samples", str(samples_path), "--method", "least_squares"]
     return argv + ["--out", str(tmp_path / "est.txt")]
+
+
+def _fit_empty_samples_argv(tmp_path):
+    argv = _fit_argv(tmp_path, "2\n0 1\n", _SAMPLES_200x6[:, :2])
+    (tmp_path / "samples.csv").write_text("")
+    return argv
 
 
 def _eval_argv(tmp_path):
@@ -477,6 +517,11 @@ _SAMPLES_200x6 = np.random.default_rng(0).normal(size=(200, 6))
             id="ill_variance_zero",
         ),
         pytest.param(
+            lambda tmp: _GENERATE + [str(tmp), "--graph", "tree", "--nodes", "5", "--seed", "-1"],
+            "error: --seed must be >= 0, got -1",
+            id="negative_seed",
+        ),
+        pytest.param(
             lambda tmp: _fit_argv(tmp, "3\n0 1\n1 1\n", _SAMPLES_200x6[:, :3]),
             "error: {tmp}/dag.txt: self loop at node 1",
             id="dag_file_self_loop",
@@ -486,6 +531,7 @@ _SAMPLES_200x6 = np.random.default_rng(0).normal(size=(200, 6))
             "error: expected (m, 4) samples, got shape (200, 6)",
             id="samples_wider_than_dag",
         ),
+        pytest.param(_fit_empty_samples_argv, "error: {tmp}/samples.csv: no samples", id="empty_samples_file"),
         pytest.param(_eval_argv, "error: estimate edges [(0, 1)] are not in the true DAG", id="estimate_edge_not_in_truth"),
         pytest.param(
             _eval_self_argv("node 0 sigma2 1\nnode 0 sigma2 2\n"),

@@ -64,6 +64,14 @@ class TestBuildDag:
     def test_bad_node_count_rejected(self):
         with pytest.raises(InvalidParameter, match="node count must be a positive integer, got 0"):
             build_dag(0, [])
+        with pytest.raises(InvalidParameter, match="node count must be a positive integer, got True"):
+            build_dag(True, [])
+
+    @pytest.mark.parametrize("int_type", [np.int64, np.int32, np.uint8])
+    def test_numpy_integer_node_count(self, int_type):
+        dag = build_dag(int_type(4), [(0, 3), (1, 3)])
+        assert dag == build_dag(4, [(0, 3), (1, 3)])
+        assert type(dag.n) is int
 
     def test_edges_lexicographic(self):
         dag = build_dag(4, [(2, 3), (0, 3), (0, 1)])
@@ -118,6 +126,14 @@ class TestRandomTree:
     def test_too_small(self):
         with pytest.raises(InvalidParameter, match="a tree needs at least 2 nodes, got 1"):
             random_tree_dag(1, np.random.default_rng(0))
+        with pytest.raises(InvalidParameter, match="a tree needs at least 2 nodes, got True"):
+            random_tree_dag(True, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("int_type", [np.int64, np.int32, np.uint8])
+    def test_numpy_integer_node_count(self, int_type):
+        dag = random_tree_dag(int_type(12), np.random.default_rng(4))
+        assert dag == random_tree_dag(12, np.random.default_rng(4))
+        assert type(dag.n) is int
 
     def test_is_polytree_with_n_minus_one_edges(self):
         for seed in range(20):
@@ -148,6 +164,14 @@ class TestRandomEr:
             random_er_dag(10, 11, rng)
         with pytest.raises(InvalidParameter, match="node count must be a positive integer, got 0"):
             random_er_dag(0, 1, rng)
+        with pytest.raises(InvalidParameter, match="node count must be a positive integer, got True"):
+            random_er_dag(True, 1, rng)
+
+    @pytest.mark.parametrize("int_type", [np.int64, np.int32, np.uint8])
+    def test_numpy_integer_node_count(self, int_type):
+        dag = random_er_dag(int_type(12), 3.0, np.random.default_rng(4))
+        assert dag == random_er_dag(12, 3.0, np.random.default_rng(4))
+        assert type(dag.n) is int
 
     def test_full_degree_gives_complete_dag(self):
         dag = random_er_dag(6, 6, np.random.default_rng(0))
@@ -200,6 +224,12 @@ class TestRemoveRandomEdges:
         dag = build_dag(3, [(0, 1)])
         with pytest.raises(InvalidParameter, match="cannot remove -1 edges"):
             remove_random_edges(dag, -1, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("k", [True, 1.0])
+    def test_non_integer_count_rejected(self, k):
+        dag = build_dag(3, [(0, 1)])
+        with pytest.raises(InvalidParameter, match=f"cannot remove {k} edges"):
+            remove_random_edges(dag, k, np.random.default_rng(0))
 
 
 @given(st.data())

@@ -101,7 +101,7 @@ class TestLeastSquares:
                 batch_least_squares(x, y, k=10, aggregator=aggregator)
 
     def test_fewer_rows_than_parents(self):
-        with pytest.raises(RankDeficient):
+        with pytest.raises(InsufficientSamples, match="^needs at least 2 rows, got 1$"):
             least_squares_node(np.array([[1.0, 2.0]]), np.array([1.0]))
 
     def test_shape_mismatch(self):
@@ -136,7 +136,7 @@ class TestBatchLeastSquares:
             batch_least_squares(np.ones((10, 2)), np.ones(10), k=2, aggregator="mean")
 
     def test_not_enough_rows_for_one_batch(self):
-        with pytest.raises(InsufficientSamples):
+        with pytest.raises(InsufficientSamples, match="^needs at least 4 rows, got 3$"):
             batch_least_squares(np.ones((3, 1)), np.ones(3), k=4, aggregator="mean")
 
     def test_unknown_aggregator(self):
@@ -354,7 +354,7 @@ class TestCauchyEstTree:
             cauchy_est_tree_node(x, y)
 
     def test_insufficient(self):
-        with pytest.raises(InsufficientSamples):
+        with pytest.raises(InsufficientSamples, match="^needs at least 2 rows, got 1$"):
             cauchy_est_tree_node(np.ones((1, 2)), np.ones(1))
 
     def test_singular_batch_falls_back_for_the_whole_stack(self):
@@ -428,7 +428,7 @@ class TestCauchyEst:
             cauchy_est_node(x, np.ones(3))
 
     def test_insufficient(self):
-        with pytest.raises(InsufficientSamples):
+        with pytest.raises(InsufficientSamples, match="^needs at least 3 rows, got 2$"):
             cauchy_est_node(np.ones((2, 2)), np.ones(2))
 
     def test_consistent_under_heavy_tailed_noise(self):
@@ -627,8 +627,33 @@ class TestFit:
     def test_insufficient_samples_names_the_node(self):
         dag = build_dag(3, [(0, 2), (1, 2)])
         data = np.ones((4, 3))
-        with pytest.raises(InsufficientSamples, match="node 2"):
+        with pytest.raises(InsufficientSamples, match="^node 2: method batch_avg: needs at least 7 rows, got 2$"):
             fit(dag, data, FitConfig(method="batch_avg", batch_extra=5))
+
+    @pytest.mark.parametrize(
+        "method, need",
+        [("least_squares", 2), ("batch_avg", 5), ("batch_med", 5), ("cauchy_est", 3), ("cauchy_est_tree", 2)],
+    )
+    def test_row_need_per_method(self, method, need):
+        # Two parents and batch_extra 3: the kernel's own guard sets the
+        # boundary, and fit passes its message on under the node's name.
+        dag = build_dag(3, [(0, 2), (1, 2)])
+        data = np.random.default_rng(34).normal(size=(2 * need, 3))
+        config = FitConfig(method=method, batch_extra=3)
+        fit(dag, data, config)  # m1 = need
+        message = f"^node 2: method {method}: needs at least {need} rows, got {need - 1}$"
+        with pytest.raises(InsufficientSamples, match=message):
+            fit(dag, data[: 2 * need - 2], config)
+
+    def test_numerical_error_names_the_node_and_keeps_its_class(self):
+        rng = np.random.default_rng(35)
+        data = rng.normal(size=(100, 4))
+        data[:, 1] = 2.0 * data[:, 0]
+        dag = build_dag(4, [(0, 3), (1, 3), (2, 3)])
+        message = f"^node 3: method least_squares: design matrix has relative singular value <= {_LSTSQ_RCOND}$"
+        with pytest.raises(RankDeficient, match=message) as info:
+            fit(dag, data, FitConfig(method="least_squares"))
+        assert isinstance(info.value.__cause__, RankDeficient)
 
     @pytest.mark.parametrize(
         "method, kernel",

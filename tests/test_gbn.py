@@ -137,6 +137,13 @@ class TestSampling:
     def test_bad_count(self):
         with pytest.raises(InvalidParameter, match="sample count must be a positive integer, got 0"):
             sample(_chain_model(), 0, np.random.default_rng(0))
+        with pytest.raises(InvalidParameter, match="sample count must be a positive integer, got True"):
+            sample(_chain_model(), True, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("int_type", [np.int64, np.int32, np.uint8])
+    def test_numpy_integer_count_draws_the_same_bits(self, int_type):
+        x = sample(_chain_model(), int_type(5), np.random.default_rng(3))
+        assert np.array_equal(x, sample(_chain_model(), 5, np.random.default_rng(3)))
 
     def test_column_major_layout(self):
         # Each node's column is contiguous, clean and contaminated alike.
