@@ -143,12 +143,17 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    # --out is created only after the sweep, so a stopped run leaves no
+    # directory; a path that can never be one fails before the sweep.
+    outdir = Path(args.out)
+    existing = next(p for p in (outdir, *outdir.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigInvalid(f"--out {outdir}: {existing} is not a directory")
     config = bench.load_config(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, base_seed=args.seed)
     rows = bench.run_experiment(config)
     summary = bench.summarize(rows)
-    outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "results.csv").write_text(bench.render_results(rows))
     (outdir / "summary.csv").write_text(bench.render_summary(summary))

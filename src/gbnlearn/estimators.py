@@ -121,40 +121,57 @@ def _node_arrays(parent_block, target) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _solve_stack(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    # np.linalg.solve over a (b, p, p) stack with (b, p, k) right-hand
-    # sides. For p = 1 a division gives the same bits without a LAPACK
-    # call per matrix: OpenBLAS divides by the pivot when k = 1 and
-    # multiplies by its reciprocal when k > 1, so each form here matches
-    # its case. A zero pivot or an overflow leaves a non-finite row instead
-    # of raising; the callers treat such a row as a failed solve.
+    # np.linalg.solve over a (b, p, p) stack with (b, p, 1) right-hand
+    # sides. For p = 1 the division ``rhs / a`` gives the same bits
+    # without a LAPACK call per matrix (OpenBLAS divides by the pivot). A
+    # zero pivot or an overflow leaves a non-finite row instead of
+    # raising; the caller treats such a row as a failed solve.
     if a.shape[1] != 1:
         return np.linalg.solve(a, rhs)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore", under="ignore"):
-        if rhs.shape[2] == 1:
-            return rhs / a
-        return rhs * (1.0 / a)
+        return rhs / a
 
 
 def _lstsq_stack(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    # Least squares over a (b, k, p) stack with k >= p: one batched QR of
-    # [X | y] gives R and Q^T y together, then one batched solve of the
-    # leading p x p triangles gives the solutions and R^-1. Returns the
-    # solutions of the full-rank batches only, in stack order.
+    # Least squares over a (b, k, p) stack with k >= p. Returns the
+    # solutions of the full-rank batches only, in stack order. The rank
+    # rule is lstsq's, on the singular values of X: rank deficient when
+    # s_min <= _LSTSQ_RCOND * s_max.
     #
-    # The rank rule is lstsq's, on R's singular values (those of X): rank
-    # deficient when s_min <= _LSTSQ_RCOND * s_max. Two bounds settle
-    # almost every batch without an SVD. s_min <= min|R_jj| and
-    # max|R_jj| <= s_max, so a small diagonal ratio is rank deficient;
-    # and s_max / s_min <= ||R||_F * ||R^-1||_F, so a small product is
-    # full rank.
+    # p = 1 is solved in closed form, <x, y> / <x, x>, which is as well
+    # conditioned as QR (a single column has condition number 1). Each
+    # batch's x and y are first scaled by the powers of two of their
+    # largest magnitudes, an exact scaling that keeps every product in
+    # range: <u, u> lies in [1/4, k] and |<u, v>| <= k. The sums are
+    # numpy's pairwise sums, so the solution stays within a few ulps of
+    # the exact one (closer than the batched QR gets); it is not
+    # bit-identical to lstsq, whose bits depend on the BLAS kernels. A
+    # single column has s_min = s_max = ||x||, so it is rank deficient
+    # exactly when it is all zero.
     p = xs.shape[2]
+    if p == 1:
+        x_max = np.abs(xs[..., 0]).max(axis=1)
+        keep = x_max > 0.0
+        x, y = xs[keep, :, 0], ys[keep]
+        ex = np.frexp(x_max[keep])[1]
+        ey = np.frexp(np.abs(y).max(axis=1))[1]
+        u, v = np.ldexp(x, -ex[:, None]), np.ldexp(y, -ey[:, None])
+        sols = (u * v).sum(axis=1) / (u * u).sum(axis=1)
+        with np.errstate(over="ignore"):  # a solution beyond the float range is +-inf, as lstsq's is
+            return np.ldexp(sols, ey - ex)[:, None]
+    # p >= 2: one batched QR of [X | y] gives R and Q^T y together, then
+    # one batched solve of the leading p x p triangles gives the solutions
+    # and R^-1. Two bounds settle almost every batch's rank without an
+    # SVD. s_min <= min|R_jj| and max|R_jj| <= s_max, so a small diagonal
+    # ratio is rank deficient; and s_max / s_min <= ||R||_F * ||R^-1||_F,
+    # so a small product is full rank.
     aug = np.concatenate([xs, ys[..., None]], axis=2)
     r = np.linalg.qr(aug, mode="r")
     diag = np.abs(np.diagonal(r[:, :p, :p], axis1=1, axis2=2))
     r = r[diag.min(axis=1, initial=np.inf) > _LSTSQ_RCOND * diag.max(axis=1, initial=0.0)]
     tri = r[:, :p, :p]
     rhs = np.concatenate([r[:, :p, p:], np.broadcast_to(np.eye(p), tri.shape)], axis=2)
-    z = _solve_stack(tri, rhs)  # columns: the solution, then R^-1
+    z = np.linalg.solve(tri, rhs)  # columns: the solution, then R^-1
     cond_bound = np.linalg.norm(tri, axis=(1, 2)) * np.linalg.norm(z[..., 1:], axis=(1, 2))
     full_rank = cond_bound * _LSTSQ_RCOND < 1.0
     unsure = np.flatnonzero(~full_rank)
@@ -167,7 +184,10 @@ def _lstsq_stack(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 def least_squares_node(parent_block: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Ordinary least squares of ``target`` on ``parent_block``.
 
-    Solved through ``X = QR``. Raises InsufficientSamples when there are
+    Solved through ``X = QR``; a single parent column ``x`` is solved in
+    closed form as ``<x, y> / <x, x>``, which agrees with
+    ``np.linalg.lstsq`` to rounding (within 1e-10 relative in the tests)
+    but not bit for bit. Raises InsufficientSamples when there are
     fewer rows than parents, RankDeficient when the smallest singular
     value of ``X`` is at most ``_LSTSQ_RCOND`` times the largest (the rank
     rule of ``np.linalg.lstsq(rcond=_LSTSQ_RCOND)``), and InvalidParameter
@@ -188,9 +208,10 @@ def batch_least_squares(parent_block: np.ndarray, target: np.ndarray, k: int, ag
 
     ``k`` must exceed the parent count; ``floor(m / k)`` batches are used
     and trailing rows are discarded. All batches are solved in one stacked
-    QR call, under the same rank rule as :func:`least_squares_node`: a
-    batch whose smallest singular value is at most ``_LSTSQ_RCOND`` times
-    its largest is skipped; if every batch is skipped the whole call raises
+    call of :func:`least_squares_node`'s kernel (one batched QR, or the
+    closed form for one parent), under the same rank rule: a batch whose
+    smallest singular value is at most ``_LSTSQ_RCOND`` times its largest
+    is skipped; if every batch is skipped the whole call raises
     RankDeficient. Input holding NaN or +-inf raises InvalidParameter.
     ``aggregator`` selects ``"mean"`` or coordinate-wise
     ``"median"`` (an even solution count yields the average of the two

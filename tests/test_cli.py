@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import gbnlearn
-from gbnlearn import estimators, gbn
+from gbnlearn import bench, estimators, gbn
 from gbnlearn.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, cli
 from gbnlearn.dag import build_dag, read_dag_file, write_dag_file
 
@@ -320,6 +320,20 @@ class TestBench:
         assert cli(["bench", "--config", str(cfg), "--out", str(out1), "--seed", "99"]) == EXIT_OK
         assert cli(["bench", "--config", str(cfg), "--out", str(out2)]) == EXIT_OK
         assert (out1 / "results.csv").read_text() != (out2 / "results.csv").read_text()
+
+    @pytest.mark.parametrize("under_file", ["", "sub/dir"])
+    def test_out_under_a_file_fails_before_the_sweep(self, tmp_path, capsys, monkeypatch, under_file):
+        def no_sweep(config):
+            raise AssertionError("run_experiment called")
+
+        monkeypatch.setattr(bench, "run_experiment", no_sweep)
+        cfg = self._write_config(tmp_path)
+        blocker = tmp_path / "file"
+        blocker.write_text("keep")
+        out = blocker / under_file
+        assert cli(["bench", "--config", str(cfg), "--out", str(out)]) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: --out {out}: {blocker} is not a directory\n"
+        assert blocker.read_text() == "keep"
 
     def test_missing_config_file(self, tmp_path):
         assert cli(["bench", "--config", str(tmp_path / "nope.json")]) == EXIT_DATA

@@ -112,12 +112,13 @@ class TestLeastSquares:
 class TestBatchLeastSquares:
     def test_single_batch_bit_identical_to_plain(self):
         rng = np.random.default_rng(2)
-        x = rng.normal(size=(7, 2))
-        y = rng.normal(size=7)
-        plain = least_squares_node(x[:7], y[:7])
-        for aggregator in ("mean", "median"):
-            out = batch_least_squares(x, y, k=7, aggregator=aggregator)
-            assert np.array_equal(out, plain)
+        for p in (1, 2):
+            x = rng.normal(size=(7, p))
+            y = rng.normal(size=7)
+            plain = least_squares_node(x[:7], y[:7])
+            for aggregator in ("mean", "median"):
+                out = batch_least_squares(x, y, k=7, aggregator=aggregator)
+                assert np.array_equal(out, plain), p
 
     def test_single_batch_uses_first_k_rows_only(self):
         rng = np.random.default_rng(3)
@@ -219,6 +220,51 @@ class TestRankRule:
         assert out == pytest.approx(np.mean(refs, axis=0), rel=1e-8)
 
 
+    def test_one_parent_batches(self):
+        # One column: rank deficient exactly when it is all zero, whatever
+        # its magnitude; subnormal and 1e+-200 columns are kept and solved
+        # to lstsq's value.
+        rng = np.random.default_rng(24)
+        col = rng.normal(size=self.K)
+        subnormal = rng.integers(1, 1000, size=self.K) * 5e-324
+        batches = {
+            "normal": (col, col + 0.3 * rng.normal(size=self.K)),
+            "zero_column": (np.zeros(self.K), rng.normal(size=self.K)),
+            "subnormal": (subnormal, rng.integers(1, 1000, size=self.K) * 5e-324),
+            "huge": (1e200 * col, rng.normal(size=self.K)),
+            "tiny": (1e-200 * col, rng.normal(size=self.K)),
+            "huge_both": (1e200 * col, 1e200 * (2.5 * col + rng.normal(size=self.K))),
+        }
+        xs = np.stack([x for x, _ in batches.values()])[..., None]
+        ys = np.stack([y for _, y in batches.values()])
+        refs = []
+        for name, (x, y) in batches.items():
+            kept = name != "zero_column"
+            assert _lstsq_full_rank(x[:, None]) == kept, name
+            if kept:
+                ref = np.linalg.lstsq(x[:, None], y, rcond=_LSTSQ_RCOND)[0]
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    sol = least_squares_node(x[:, None], y)
+                assert np.isfinite(sol).all() and sol == pytest.approx(ref, rel=1e-12), name
+                refs.append(ref)
+            else:
+                with pytest.raises(RankDeficient):
+                    least_squares_node(x[:, None], y)
+        sols = _lstsq_stack(xs, ys)
+        assert sols.shape == (len(refs), 1)
+        assert sols == pytest.approx(np.stack(refs), rel=1e-12)
+        out = batch_least_squares(xs.reshape(-1, 1), ys.reshape(-1), k=self.K, aggregator="median")
+        assert out == pytest.approx(np.median(refs, axis=0), rel=1e-12)
+
+    def test_one_parent_all_zero_input_raises(self):
+        x, y = np.zeros((3 * self.K, 1)), np.ones(3 * self.K)
+        with pytest.raises(RankDeficient, match="^design matrix has relative singular value <= 1e-06$"):
+            least_squares_node(x, y)
+        with pytest.raises(RankDeficient, match="^all 3 batches were rank deficient$"):
+            batch_least_squares(x, y, k=self.K, aggregator="mean")
+
+
 def test_stacked_kernel_matches_per_batch_lstsq():
     rng = np.random.default_rng(23)
     for p in range(1, 9):
@@ -273,37 +319,25 @@ class TestOneParentDivision:
 
     B = 20000
 
-    def _stack(self, k, seed):
+    def _stack(self, seed):
         # Divisors and right-hand sides over 300 decades, no overflow, with
         # some right-hand sides subnormal so some quotients are subnormal.
         rng = np.random.default_rng(seed)
         a = _random_magnitudes(rng, self.B, -150, 150).reshape(self.B, 1, 1)
-        rhs = _random_magnitudes(rng, self.B * k, -150, 150).reshape(self.B, 1, k)
-        rhs[:100] = _random_magnitudes(rng, 100 * k, -318, -308).reshape(100, 1, k)
+        rhs = _random_magnitudes(rng, self.B, -150, 150).reshape(self.B, 1, 1)
+        rhs[:100] = _random_magnitudes(rng, 100, -318, -308).reshape(100, 1, 1)
         a[:100] = rng.uniform(1.0, 10.0, size=(100, 1, 1))
         return a, rhs
 
-    @pytest.mark.parametrize("k", [1, 2])
-    def test_solve_stack_matches_lapack_bitwise(self, k):
-        a, rhs = self._stack(k, seed=40 + k)
+    def test_solve_stack_matches_lapack_bitwise(self):
+        a, rhs = self._stack(seed=41)
         out = _solve_stack(a, rhs)
         assert np.array_equal(_bits(out), _bits(np.linalg.solve(a, rhs)))
 
     def test_batch_solve_stack_matches_lapack_bitwise(self):
-        a, rhs = self._stack(1, seed=43)
+        a, rhs = self._stack(seed=43)
         sols = _batch_solve_stack(a.reshape(self.B, 1), rhs.reshape(self.B))
         assert np.array_equal(_bits(sols), _bits(np.linalg.solve(a, rhs)[..., 0]))
-
-    def test_lstsq_stack_matches_lapack_bitwise(self, monkeypatch):
-        # The triangle solve has two columns (the solution and R^-1); the
-        # whole kernel must give the same bits as with np.linalg.solve.
-        rng = np.random.default_rng(44)
-        scale = 10.0 ** rng.uniform(-100, 100, size=(self.B, 1, 1))
-        xs = rng.normal(size=(self.B, 6, 1)) * scale
-        ys = rng.normal(size=(self.B, 6)) * 10.0 ** rng.uniform(-100, 100, size=(self.B, 1))
-        divided = _lstsq_stack(xs, ys)
-        monkeypatch.setattr(estimators, "_solve_stack", np.linalg.solve)
-        assert np.array_equal(_bits(divided), _bits(_lstsq_stack(xs, ys)))
 
     def test_zero_and_overflowing_divisors_fall_back_like_batch_solve(self):
         rng = np.random.default_rng(45)
@@ -316,6 +350,25 @@ class TestOneParentDivision:
             expected = np.stack([batch_solve(x[i : i + 1], y[i : i + 1]) for i in range(12)])
         assert not np.isfinite(sols[7, 0])
         assert np.array_equal(_bits(sols), _bits(expected))
+
+
+def test_one_parent_closed_form_matches_lstsq_over_300_decades():
+    # The p = 1 least squares is <x, y> / <x, x>, not LAPACK's QR, so it is
+    # compared by value: columns and targets over 300 decades, each batch
+    # within 1e-10 relative of lstsq, and no floating-point warning.
+    rng = np.random.default_rng(46)
+    b, k = 20000, 6
+    scale = _random_magnitudes(rng, (b, 1), -150, 150)
+    coef = _random_magnitudes(rng, (b, 1), -150, 150)
+    xs = rng.normal(size=(b, k)) * scale
+    ys = coef * (xs + 0.5 * scale * rng.normal(size=(b, k)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sols = _lstsq_stack(xs[..., None], ys)[:, 0]
+        refs = np.array([np.linalg.lstsq(x[:, None], y, rcond=_LSTSQ_RCOND)[0][0] for x, y in zip(xs, ys)])
+    assert np.isfinite(refs).all()
+    rel = np.abs(sols - refs) / np.abs(refs)
+    assert rel.max() <= 1e-10, rel.max()
 
 
 class TestCauchyEstTree:
