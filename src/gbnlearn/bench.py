@@ -54,20 +54,6 @@ class CleanScenario:
 
 
 @dataclass(frozen=True)
-class IllConditionedScenario:
-    """Some nodes get a near-degenerate noise variance.
-
-    Either list the nodes explicitly or give ``node_count`` to draw them
-    uniformly per repetition.
-    """
-
-    KIND: ClassVar[str] = "ill_conditioned"
-    sigma2: float = 1e-20
-    node_count: int | None = None
-    nodes: tuple[int, ...] | None = None
-
-
-@dataclass(frozen=True)
 class AgnosticScenario:
     """Fit against the truth DAG with ``remove_edges`` random edges deleted.
 
@@ -167,18 +153,9 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigInvalid("repetitions must be >= 1")
     if config.base_seed < 0:
         raise ConfigInvalid("base_seed must be >= 0")
-    if isinstance(config.variances, gbn.IllConditionedVariances):
-        raise ConfigInvalid("ill-conditioned variances are asked for with the ill_conditioned scenario")
+    if not isinstance(config.variances, (gbn.UnitVariances, gbn.UniformVariances)):
+        raise ConfigInvalid(f"variances must be UnitVariances or UniformVariances, got {config.variances!r}")
     sc = config.scenario
-    if isinstance(sc, IllConditionedScenario):
-        if (sc.node_count is None) == (sc.nodes is None):
-            raise ConfigInvalid("ill_conditioned scenario needs exactly one of node_count / nodes")
-        if not 0 <= (sc.node_count or 0) <= g.n or not all(0 <= v < g.n for v in sc.nodes or ()):
-            raise ConfigInvalid(f"ill_conditioned node_count / nodes out of range for n = {g.n}: {sc}")
-        if not sc.sigma2 > 0:
-            raise ConfigInvalid(f"ill_conditioned sigma2 must be > 0, got {sc.sigma2}")
-        if not isinstance(config.variances, gbn.UnitVariances):
-            raise ConfigInvalid("ill_conditioned scenario requires unit variances")
     if isinstance(sc, AgnosticScenario):
         # A tree has n - 1 edges; an ER draw has at most n (n - 1) / 2.
         max_edges = g.n - 1 if g.kind == "tree" else g.n * (g.n - 1) // 2
@@ -213,17 +190,8 @@ def generate_rep_data(config: ExperimentConfig, rep: int) -> RepData:
         dag = random_tree_dag(g.n, rng)
     else:
         dag = random_er_dag(g.n, g.degree, rng)
-    variance_spec = config.variances
+    truth = gbn.random_gbn(dag, config.weight_range, config.variances, rng)
     scenario = config.scenario
-    if isinstance(scenario, IllConditionedScenario):
-        if scenario.nodes is not None:
-            chosen = tuple(scenario.nodes)
-        else:
-            chosen = tuple(
-                int(v) for v in np.sort(rng.choice(dag.n, size=scenario.node_count, replace=False))
-            )
-        variance_spec = gbn.IllConditionedVariances(nodes=chosen, sigma2=scenario.sigma2)
-    truth = gbn.random_gbn(dag, config.weight_range, variance_spec, rng)
     fit_dag = dag
     if isinstance(scenario, AgnosticScenario):
         fit_dag = remove_random_edges(dag, scenario.remove_edges, rng)
@@ -492,9 +460,7 @@ def parse_config(obj: dict) -> ExperimentConfig:
         "config",
         methods=_tuple_of(_method),
         variances=_by_kind("variances", gbn.UnitVariances, gbn.UniformVariances),
-        scenario=_by_kind(
-            "scenario", CleanScenario, datagen.ContaminationSpec, IllConditionedScenario, AgnosticScenario
-        ),
+        scenario=_by_kind("scenario", CleanScenario, datagen.ContaminationSpec, AgnosticScenario),
     )
     validate_config(config)
     return config

@@ -120,18 +120,6 @@ def _node_arrays(parent_block, target) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def _solve_stack(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    # np.linalg.solve over a (b, p, p) stack with (b, p, 1) right-hand
-    # sides. For p = 1 the division ``rhs / a`` gives the same bits
-    # without a LAPACK call per matrix (OpenBLAS divides by the pivot). A
-    # zero pivot or an overflow leaves a non-finite row instead of
-    # raising; the caller treats such a row as a failed solve.
-    if a.shape[1] != 1:
-        return np.linalg.solve(a, rhs)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore", under="ignore"):
-        return rhs / a
-
-
 def _lstsq_stack(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     # Least squares over a (b, k, p) stack with k >= p. Returns the
     # solutions of the full-rank batches only, in stack order. The rank
@@ -164,7 +152,8 @@ def _lstsq_stack(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     # and R^-1. Two bounds settle almost every batch's rank without an
     # SVD. s_min <= min|R_jj| and max|R_jj| <= s_max, so a small diagonal
     # ratio is rank deficient; and s_max / s_min <= ||R||_F * ||R^-1||_F,
-    # so a small product is full rank.
+    # so a small product is full rank. At extreme scales the norms can
+    # overflow; an inf or nan product leaves the batch to the SVD check.
     aug = np.concatenate([xs, ys[..., None]], axis=2)
     r = np.linalg.qr(aug, mode="r")
     diag = np.abs(np.diagonal(r[:, :p, :p], axis1=1, axis2=2))
@@ -172,7 +161,8 @@ def _lstsq_stack(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     tri = r[:, :p, :p]
     rhs = np.concatenate([r[:, :p, p:], np.broadcast_to(np.eye(p), tri.shape)], axis=2)
     z = np.linalg.solve(tri, rhs)  # columns: the solution, then R^-1
-    cond_bound = np.linalg.norm(tri, axis=(1, 2)) * np.linalg.norm(z[..., 1:], axis=(1, 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        cond_bound = np.linalg.norm(tri, axis=(1, 2)) * np.linalg.norm(z[..., 1:], axis=(1, 2))
     full_rank = cond_bound * _LSTSQ_RCOND < 1.0
     unsure = np.flatnonzero(~full_rank)
     if len(unsure):
@@ -256,21 +246,25 @@ def batch_solve(square_block: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 def _batch_solve_stack(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     # Solutions of the floor(m / p) square batches of consecutive rows of
-    # an (m, p) block, trailing rows dropped. One _solve_stack call over
-    # the (b, p, p) stack; every batch without a finite solution goes to
-    # batch_solve. For p > 1 one singular matrix makes the stacked LAPACK
-    # solve raise, which leaves every batch without one; for p = 1 the
-    # division marks only the singular or overflowing batches. Bitwise
-    # identical to looping batch_solve: for p > 1 the same LAPACK routine
-    # runs per matrix, and for p = 1 the division reproduces its bits.
+    # an (m, p) block, trailing rows dropped, solved as one (b, p, p)
+    # stack; every batch without a finite solution goes to batch_solve.
+    # For p = 1 the division y / x gives LAPACK's bits without a call per
+    # batch (OpenBLAS divides by the pivot), and a zero or overflowing
+    # divisor marks only its own batch. For p > 1 one singular matrix
+    # makes the stacked LAPACK solve raise, which leaves every batch
+    # without one. Bitwise identical to looping batch_solve either way.
     m, p = x.shape
     b = m // p
     xs = x[: b * p].reshape(b, p, p)
     ys = y[: b * p].reshape(b, p)
-    try:
-        sols = _solve_stack(xs, ys[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        sols = np.full((b, p), np.nan)
+    if p == 1:
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore", under="ignore"):
+            sols = ys / xs[..., 0]
+    else:
+        try:
+            sols = np.linalg.solve(xs, ys[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            sols = np.full((b, p), np.nan)
     for idx in np.flatnonzero(~np.all(np.isfinite(sols), axis=1)):
         sols[idx] = batch_solve(xs[idx], ys[idx])
     return sols

@@ -89,15 +89,15 @@ class UnitVariances:
 
 @dataclass(frozen=True)
 class UniformVariances:
-    """Noise variances drawn i.i.d. uniform from [low, high), ``0 < low <= high``."""
+    """Noise variances drawn i.i.d. uniform from [low, high), ``0 < low <= high < inf``."""
 
     KIND: ClassVar[str] = "uniform"
     low: float
     high: float
 
     def __post_init__(self):
-        if not (0 < self.low <= self.high):
-            raise InvalidParameter(f"variance range must satisfy 0 < low <= high, got {self}")
+        if not (0 < self.low <= self.high < math.inf):
+            raise InvalidParameter(f"variance range must satisfy 0 < low <= high < inf, got {self}")
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,7 @@ def random_gbn(dag: Dag, weight_range, variance_spec, rng: np.random.Generator) 
     """Random model: coefficients are (uniform sign) * Uniform[lo, hi).
 
     ``weight_range`` gives the magnitude interval ``(lo, hi)`` with
-    ``0 < lo < hi``; each coefficient's sign is an independent fair coin.
+    ``0 < lo < hi < inf``; each coefficient's sign is an independent fair coin.
     ``variance_spec`` is one of :class:`UnitVariances`,
     :class:`UniformVariances`, or :class:`IllConditionedVariances`.
     Nodes are processed in ascending index so a fixed seed fixes the model.
@@ -129,10 +129,10 @@ def random_gbn(dag: Dag, weight_range, variance_spec, rng: np.random.Generator) 
 
 
 def weight_bounds(weight_range) -> tuple[float, float]:
-    """``weight_range`` as floats ``(lo, hi)``; raises InvalidParameter unless ``0 < lo < hi``."""
+    """``weight_range`` as floats ``(lo, hi)``; raises InvalidParameter unless ``0 < lo < hi < inf``."""
     lo, hi = float(weight_range[0]), float(weight_range[1])
-    if not (0 < lo < hi):
-        raise InvalidParameter(f"weight magnitude range must satisfy 0 < lo < hi, got ({lo}, {hi})")
+    if not (0 < lo < hi < math.inf):
+        raise InvalidParameter(f"weight magnitude range must satisfy 0 < lo < hi < inf, got ({lo}, {hi})")
     return lo, hi
 
 

@@ -15,9 +15,10 @@ from gbnlearn.bench import (
     CleanScenario,
     ExperimentConfig,
     GraphSpec,
-    IllConditionedScenario,
     MethodSpec,
+    RepData,
     ResultRow,
+    _run_cell,
     _rep_seeds,
     generate_rep_data,
     load_config,
@@ -28,6 +29,7 @@ from gbnlearn.bench import (
     summarize,
     validate_config,
 )
+from gbnlearn.dag import random_er_dag
 from gbnlearn.errors import ConfigInvalid, InvalidParameter, NotPositiveDefinite, NumericalError, RankDeficient
 from gbnlearn.estimators import FitConfig
 
@@ -49,10 +51,6 @@ def _parse_minimal(**keys):
 
 def _contaminated(**keys):
     return {"scenario": {"kind": "contaminated", **keys}}
-
-
-def _ill_conditioned(**keys):
-    return {"scenario": {"kind": "ill_conditioned", **keys}}
 
 
 # Malformed values, each applied to configs/clean_er.json (ER n = 100), and
@@ -84,33 +82,28 @@ MALFORMED = [
         id="record_timing_string",
     ),
     pytest.param(
-        _ill_conditioned(node_count="2"),
+        _contaminated(node_count="2"),
         "scenario.node_count: expected an integer, got '2'",
-        id="ill_node_count_string",
-    ),
-    pytest.param(
-        _ill_conditioned(node_count=500),
-        "ill_conditioned node_count / nodes out of range for n = 100: IllConditionedScenario(sigma2=1e-20, node_count=500, nodes=None)",
-        id="ill_node_count_above_n",
+        id="contaminated_node_count_string",
     ),
     pytest.param(
         {"weight_range": [2, 1]},
-        "weight magnitude range must satisfy 0 < lo < hi, got (2.0, 1.0)",
+        "weight magnitude range must satisfy 0 < lo < hi < inf, got (2.0, 1.0)",
         id="weight_range_reversed",
     ),
     pytest.param(
         {"weight_range": [0, 1]},
-        "weight magnitude range must satisfy 0 < lo < hi, got (0.0, 1.0)",
+        "weight magnitude range must satisfy 0 < lo < hi < inf, got (0.0, 1.0)",
         id="weight_range_zero_low",
     ),
     pytest.param(
         {"variances": {"kind": "uniform", "low": -1, "high": 2}},
-        "config.variances: variance range must satisfy 0 < low <= high, got UniformVariances(low=-1.0, high=2.0)",
+        "config.variances: variance range must satisfy 0 < low <= high < inf, got UniformVariances(low=-1.0, high=2.0)",
         id="uniform_variances_negative_low",
     ),
     pytest.param(
         {"variances": {"kind": "uniform", "low": 2, "high": 1}},
-        "config.variances: variance range must satisfy 0 < low <= high, got UniformVariances(low=2.0, high=1.0)",
+        "config.variances: variance range must satisfy 0 < low <= high < inf, got UniformVariances(low=2.0, high=1.0)",
         id="uniform_variances_reversed",
     ),
     pytest.param(
@@ -139,11 +132,6 @@ MALFORMED = [
         id="label_lf",
     ),
     pytest.param({"methods": []}, "at least one method is required", id="methods_empty"),
-    pytest.param(
-        _ill_conditioned(node_count=5, sigma2=0),
-        "ill_conditioned sigma2 must be > 0, got 0.0",
-        id="ill_sigma2_zero",
-    ),
 ]
 
 
@@ -249,17 +237,18 @@ class TestParseConfig:
         with pytest.raises(ConfigInvalid):
             _parse_minimal(scenario={"kind": "byzantine"})
 
-    def test_ill_conditioned_variances_only_through_scenario(self):
+    def test_ill_conditioned_scenario_refused(self):
+        with pytest.raises(ConfigInvalid, match="kind in"):
+            _parse_minimal(scenario={"kind": "ill_conditioned", "node_count": 2})
+
+    def test_ill_conditioned_variances_refused(self):
+        # JSON and programmatic configs accept the same two variance kinds.
         obj = json.loads(json.dumps(FULL_JSON))
         obj["variances"] = {"kind": "ill_conditioned", "nodes": [0, 1], "sigma2": 1e-18}
         with pytest.raises(ConfigInvalid, match="ill_conditioned"):
             parse_config(obj)
-        with pytest.raises(ConfigInvalid, match="ill_conditioned scenario"):
+        with pytest.raises(ConfigInvalid, match="variances must be UnitVariances or UniformVariances"):
             validate_config(_tiny_config(variances=gbn.IllConditionedVariances((0, 1), 1e-18)))
-
-    def test_ill_conditioned_scenario_parses(self):
-        cfg = _parse_minimal(**_ill_conditioned(node_count=2, sigma2=1e-18))
-        assert cfg.scenario == IllConditionedScenario(sigma2=1e-18, node_count=2)
 
     def test_agnostic_scenario_parses(self):
         cfg = _parse_minimal(scenario={"kind": "agnostic", "remove_edges": 3})
@@ -346,11 +335,6 @@ class TestValidateConfig:
         with pytest.raises(ConfigInvalid):
             validate_config(_tiny_config(graph=GraphSpec("lattice", 10)))
 
-    def test_ill_conditioned_needs_exactly_one_node_choice(self):
-        for kwargs in ({}, {"node_count": 2, "nodes": (0,)}):
-            with pytest.raises(ConfigInvalid):
-                validate_config(_tiny_config(scenario=IllConditionedScenario(**kwargs)))
-
     def test_tree_takes_no_degree(self):
         with pytest.raises(ConfigInvalid, match="degree"):
             validate_config(_tiny_config(graph=GraphSpec("tree", 10, 3.0)))
@@ -358,14 +342,14 @@ class TestValidateConfig:
     @pytest.mark.parametrize(
         "scenario",
         [
-            IllConditionedScenario(node_count=7),
-            IllConditionedScenario(nodes=(0, 6)),
-            IllConditionedScenario(nodes=(-1,)),
             datagen.ContaminationSpec(node_count=7),
+            datagen.ContaminationSpec(node_count=-1),
+            AgnosticScenario(remove_edges=6),
+            AgnosticScenario(remove_edges=-1),
         ],
     )
     def test_scenario_nodes_checked_against_n(self, scenario):
-        # _tiny_config's tree has n = 6.
+        # _tiny_config's tree has n = 6 nodes and 5 edges.
         with pytest.raises(ConfigInvalid):
             validate_config(_tiny_config(scenario=scenario))
 
@@ -380,14 +364,6 @@ class TestValidateConfig:
         for k in (5, 50, -1):
             with pytest.raises(ConfigInvalid, match="remove_edges"):
                 validate_config(_tiny_config(graph=GraphSpec("tree", 5), scenario=AgnosticScenario(k)))
-
-    def test_ill_conditioned_requires_unit_variances(self):
-        cfg = _tiny_config(
-            scenario=IllConditionedScenario(node_count=1),
-            variances=gbn.UniformVariances(0.5, 1.0),
-        )
-        with pytest.raises(ConfigInvalid, match="unit"):
-            validate_config(cfg)
 
 
 class TestRepSeeds:
@@ -532,19 +508,7 @@ class TestScenarios:
         assert rd.seed == clean_rd.seed
         assert not np.array_equal(rd.data, clean_rd.data)
 
-    def test_ill_conditioned_explicit_nodes(self):
-        cfg = _tiny_config(scenario=IllConditionedScenario(sigma2=1e-18, nodes=(0, 2)))
-        rd = generate_rep_data(cfg, 0)
-        assert rd.truth.variances[0] == 1e-18
-        assert rd.truth.variances[2] == 1e-18
-        assert rd.truth.variances[1] == 1.0
-
-    def test_ill_conditioned_random_nodes_per_rep(self):
-        cfg = _tiny_config(scenario=IllConditionedScenario(node_count=2))
-        rd = generate_rep_data(cfg, 0)
-        assert np.sum(rd.truth.variances == 1e-20) == 2
-
-    def test_ill_conditioned_default_sigma2_scores_only_cauchy(self, monkeypatch):
+    def test_ill_conditioned_truth_scores_only_cauchy(self, monkeypatch):
         # At sigma2 = 1e-20 an ill node is its parents' linear combination to
         # working precision: every least-squares design and batch that holds
         # one is rank deficient, and the truth covariance has no Cholesky
@@ -563,35 +527,33 @@ class TestScenarios:
 
         monkeypatch.setattr(estimators, "fit_detailed", recording(estimators.fit_detailed))
         monkeypatch.setattr(gbn, "gaussian_kl", recording(gbn.gaussian_kl))
-        rows = run_experiment(
-            parse_config(
-                {
-                    "graph": {"kind": "er", "n": 30, "degree": 3.0},
-                    "scenario": {"kind": "ill_conditioned", "node_count": 5},
-                    "methods": [
-                        {"method": "least_squares"},
-                        {"method": "batch_avg", "batch_extra": 5},
-                        {"method": "batch_med"},
-                        {"method": "cauchy_est_tree"},
-                        {"method": "cauchy_est"},
-                        {"method": "empirical_mle"},
-                    ],
-                    "sample_sizes": [200, 400],
-                    "repetitions": 2,
-                    "base_seed": 0,
-                }
+        rng = np.random.default_rng(0)
+        dag = random_er_dag(30, 3.0, rng)
+        ill = tuple(int(v) for v in np.sort(rng.choice(30, size=5, replace=False)))
+        truth = gbn.random_gbn(dag, (1.0, 2.0), gbn.IllConditionedVariances(ill, 1e-20), rng)
+        rd = RepData(truth=truth, fit_dag=dag, data=gbn.sample(truth, 400, rng), seed=0, rep=0)
+        truth_cov = gbn.covariance(truth)
+        parent_covs = gbn.parent_covariances(dag, truth_cov)
+        methods = [
+            MethodSpec(cfg.method, cfg)
+            for cfg in (
+                FitConfig(method="least_squares"),
+                FitConfig(method="batch_avg", batch_extra=5),
+                FitConfig(method="batch_med"),
+                FitConfig(method="cauchy_est_tree"),
+                FitConfig(method="cauchy_est"),
+                FitConfig(method="empirical_mle"),
             )
-        )
-        degenerate = {}
-        for r in rows:
-            degenerate.setdefault(r.method, []).append(r.degenerate)
+        ]
+        config = ExperimentConfig(GraphSpec("er", 30, 3.0), tuple(methods), (400,), 1, 0)
+        degenerate = {ms.label: _run_cell(config, rd, ms, 400, truth_cov, parent_covs).degenerate for ms in methods}
         assert degenerate == {
-            "least_squares": [True] * 4,
-            "batch_avg_x5": [True] * 4,
-            "batch_med_x20": [True] * 4,
-            "cauchy_est_tree": [False] * 4,
-            "cauchy_est": [False] * 4,
-            "empirical_mle": [True] * 4,
+            "least_squares": True,
+            "batch_avg": True,
+            "batch_med": True,
+            "cauchy_est_tree": False,
+            "cauchy_est": False,
+            "empirical_mle": True,
         }
         assert RankDeficient in raised and NotPositiveDefinite in raised
 

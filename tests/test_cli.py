@@ -517,8 +517,18 @@ _SAMPLES_200x6 = np.random.default_rng(0).normal(size=(200, 6))
         ),
         pytest.param(
             lambda tmp: _GENERATE + [str(tmp), "--graph", "tree", "--nodes", "5", "--variances", "uniform:2,1"],
-            "error: variance range must satisfy 0 < low <= high, got UniformVariances(low=2.0, high=1.0)",
+            "error: variance range must satisfy 0 < low <= high < inf, got UniformVariances(low=2.0, high=1.0)",
             id="uniform_variances_reversed",
+        ),
+        pytest.param(
+            lambda tmp: _GENERATE + [str(tmp), "--graph", "tree", "--nodes", "5", "--variances", "uniform:0.5,inf"],
+            "error: variance range must satisfy 0 < low <= high < inf, got UniformVariances(low=0.5, high=inf)",
+            id="uniform_variances_infinite",
+        ),
+        pytest.param(
+            lambda tmp: _GENERATE + [str(tmp), "--graph", "tree", "--nodes", "5", "--weight-range", "1", "inf"],
+            "error: weight magnitude range must satisfy 0 < lo < hi < inf, got (1.0, inf)",
+            id="weight_range_infinite",
         ),
         pytest.param(
             lambda tmp: _GENERATE + [str(tmp), "--graph", "tree", "--nodes", "5", "--variances", "ill:7:1e-9"],

@@ -105,16 +105,16 @@ class TestRandomGbn:
 
     @pytest.mark.parametrize("low, high", [(-1.0, 2.0), (0.0, 1.0), (2.0, 1.0)])
     def test_bad_uniform_variance_range_rejected(self, low, high):
-        message = f"variance range must satisfy 0 < low <= high, got UniformVariances(low={low}, high={high})"
+        message = f"variance range must satisfy 0 < low <= high < inf, got UniformVariances(low={low}, high={high})"
         with pytest.raises(InvalidParameter, match=re.escape(message)):
             UniformVariances(low, high)
 
     def test_bad_weight_range_rejected(self):
         rng = np.random.default_rng(0)
         dag = build_dag(2, [(0, 1)])
-        with pytest.raises(InvalidParameter, match=r"weight magnitude range must satisfy 0 < lo < hi, got \(0\.0, 2\.0\)"):
+        with pytest.raises(InvalidParameter, match=r"weight magnitude range must satisfy 0 < lo < hi < inf, got \(0\.0, 2\.0\)"):
             random_gbn(dag, (0.0, 2.0), UnitVariances(), rng)
-        with pytest.raises(InvalidParameter, match=r"weight magnitude range must satisfy 0 < lo < hi, got \(2\.0, 1\.0\)"):
+        with pytest.raises(InvalidParameter, match=r"weight magnitude range must satisfy 0 < lo < hi < inf, got \(2\.0, 1\.0\)"):
             random_gbn(dag, (2.0, 1.0), UnitVariances(), rng)
 
     def test_deterministic_given_seed(self):
