@@ -55,7 +55,6 @@ def _build_parser() -> argparse.ArgumentParser:
     f.add_argument("--method", choices=estimators.COEFFICIENT_METHODS, required=True)
     # Defaults are FitConfig's own.
     f.add_argument("--batch-extra", type=int, default=estimators.FitConfig.batch_extra)
-    f.add_argument("--split", type=float, default=estimators.FitConfig.split_fraction)
     f.add_argument(
         "--variance-method", choices=estimators.VARIANCE_METHODS, default=estimators.FitConfig.variance_method
     )
@@ -118,7 +117,6 @@ def _cmd_fit(args) -> int:
     config = estimators.FitConfig(
         method=args.method,
         batch_extra=args.batch_extra,
-        split_fraction=args.split,
         variance_method=args.variance_method,
     )
     outcome = estimators.fit_detailed(dag, data, config)

@@ -17,10 +17,10 @@ coefficient vector:
   whitened coordinate system derived from the Cholesky factor of the
   empirical parent covariance, which handles correlated parents.
 
-``fit`` drives a full model estimate: the first ``floor(split * m)`` rows
-feed the coefficient method and the remaining rows feed variance
-recovery (mean of squared residuals, or a median-absolute-deviation
-estimate for contaminated data). Each kernel checks its own row need;
+``fit`` drives a full model estimate: the first ``m // 2`` rows feed
+the coefficient method and the remaining rows feed variance recovery
+(mean of squared residuals, or a median-absolute-deviation estimate for
+contaminated data). Each kernel checks its own row need;
 ``fit`` names the node and the method on every kernel error.
 """
 
@@ -71,14 +71,11 @@ class FitConfig:
     """Estimator selection and its knobs.
 
     ``batch_extra`` is the number of rows beyond the parent count in each
-    batch for the batch_* methods (ignored elsewhere). ``split_fraction``
-    sets the share of rows used for coefficients; the rest recover
-    variances on disjoint rows.
+    batch for the batch_* methods (ignored elsewhere).
     """
 
     method: str
     batch_extra: int = 20
-    split_fraction: float = 0.5
     variance_method: str = "empirical"
 
     def __post_init__(self):
@@ -88,8 +85,6 @@ class FitConfig:
             raise ConfigInvalid(
                 f"unknown variance method {self.variance_method!r}; expected one of {VARIANCE_METHODS}"
             )
-        if not (0.0 < self.split_fraction < 1.0):
-            raise ConfigInvalid(f"split_fraction must lie in (0, 1), got {self.split_fraction}")
         if isinstance(self.batch_extra, bool) or not isinstance(self.batch_extra, int) or self.batch_extra < 0:
             raise ConfigInvalid(f"batch_extra must be a nonnegative integer, got {self.batch_extra!r}")
         if self.method in BATCH_METHODS and self.batch_extra < 1:
@@ -292,11 +287,12 @@ def cauchy_est_node(parent_block: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Median of square-batch solutions in a whitened coordinate system.
 
     The empirical parent second-moment matrix ``Mhat = X^T X / m`` (all
-    rows) is Cholesky-factored as ``L L^T``; batch solutions are mapped
-    through ``L^T``, the coordinate-wise median is taken there, and the
-    result is mapped back by ``(L^T)^-1``. Requires ``m >= p + 1``. A
-    failed factorization raises CholeskyFailed; it is never silently
-    regularized. Input holding NaN or +-inf raises InvalidParameter first.
+    rows, up to an exact power-of-two scale) is Cholesky-factored as
+    ``L L^T``; batch solutions are mapped through ``L^T``, the
+    coordinate-wise median is taken there, and the result is mapped back
+    by ``(L^T)^-1``. Requires ``m >= p + 1``. A failed factorization
+    raises CholeskyFailed; it is never silently regularized. Input
+    holding NaN or +-inf raises InvalidParameter first.
     """
     x, y = _node_arrays(parent_block, target)
     m, p = x.shape
@@ -304,9 +300,13 @@ def cauchy_est_node(parent_block: np.ndarray, target: np.ndarray) -> np.ndarray:
         raise InvalidParameter("node must have at least one parent")
     if m < p + 1:
         raise InsufficientSamples(f"needs at least {p + 1} rows, got {m}")
-    mhat = x.T @ x / m
+    # Mhat is formed on x scaled by the power of two of its largest
+    # magnitude, so X^T X neither over- nor underflows at extreme scales.
+    # L then carries that power, which cancels exactly between the
+    # whitening and the back-solve.
+    u = np.ldexp(x, -np.frexp(np.abs(x).max())[1])
     try:
-        ell = np.linalg.cholesky(mhat)
+        ell = np.linalg.cholesky(u.T @ u / m)
     except np.linalg.LinAlgError as exc:
         raise CholeskyFailed(f"empirical parent covariance is not positive definite: {exc}") from exc
     whitened_median = np.median(_batch_solve_stack(x, y) @ ell, axis=0)
@@ -351,7 +351,8 @@ def variance_recovery(dag: Dag, data: np.ndarray, coeffs) -> np.ndarray:
     resid = _residual_columns(dag, x, coeffs)
     # Reduce in row order whatever the sample layout: numpy sums a
     # contiguous axis pairwise, which would move the last bits.
-    return np.ascontiguousarray(resid**2).mean(axis=0)
+    with np.errstate(over="ignore"):  # an inf estimate is flagged degenerate by fit_detailed
+        return np.ascontiguousarray(resid**2).mean(axis=0)
 
 
 def mad_variance(residuals: np.ndarray) -> float:
@@ -376,11 +377,12 @@ def fit_detailed(dag: Dag, data: np.ndarray, config: FitConfig) -> FitOutcome:
     """Two-phase fit returning the model plus degenerate-variance flags.
 
     Phase one runs the configured coefficient method on the first
-    ``floor(split_fraction * m)`` rows, node by node in ascending order.
-    Phase two recovers noise variances from the remaining rows' residuals
-    (``empirical`` mean square or robust ``mad``). A variance estimate of
-    zero is floored at ``DEGENERATE_VARIANCE`` and the node is reported
-    in ``degenerate_nodes`` so callers can exclude the fit from scoring.
+    ``m // 2`` rows, node by node in ascending order; ``m >= 2``. Phase
+    two recovers noise variances from the other ``m - m // 2`` rows'
+    residuals (``empirical`` mean square or robust ``mad``). A degenerate
+    variance estimate (at most ``DEGENERATE_VARIANCE``, or not finite)
+    is replaced by ``DEGENERATE_VARIANCE`` and the node is reported in
+    ``degenerate_nodes`` so callers can exclude the fit from scoring.
     Samples holding NaN or +-inf are rejected with InvalidParameter before
     any solve; a kernel error keeps its class and gains ``node i: method M:``.
     """
@@ -395,12 +397,9 @@ def fit_detailed(dag: Dag, data: np.ndarray, config: FitConfig) -> FitOutcome:
     if not np.isfinite(x).all():
         raise InvalidParameter("samples contain NaN or infinite values")
     m = x.shape[0]
-    m1 = int(config.split_fraction * m)
-    m2 = m - m1
-    if m1 < 1 or m2 < 1:
-        raise InsufficientSamples(
-            f"split {config.split_fraction} of {m} rows leaves ({m1}, {m2}); both phases need rows"
-        )
+    if m < 2:
+        raise InsufficientSamples(f"needs at least 2 rows, one per phase, got {m}")
+    m1 = m // 2
     kernel = _METHOD_TABLE[config.method]
     coeffs: list[np.ndarray] = []
     for i in range(dag.n):

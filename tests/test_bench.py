@@ -132,6 +132,11 @@ MALFORMED = [
         id="label_lf",
     ),
     pytest.param({"methods": []}, "at least one method is required", id="methods_empty"),
+    pytest.param(
+        {"methods": [{"method": "least_squares", "split_fraction": 0.5}]},
+        "methods[]: unknown keys ['split_fraction']",
+        id="split_fraction_removed",
+    ),
 ]
 
 

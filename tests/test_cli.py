@@ -261,6 +261,20 @@ class TestFitAndEval:
         assert err == "numerical failure: degenerate variance estimate at nodes [1]; no model written\n"
         assert not est_path.exists()
 
+    def test_fit_at_1e160_exits_3_with_one_line(self, tmp_path, capsys):
+        # cauchy_est's parent Gram matrix would overflow at this scale; the
+        # fit goes through, and every residual's square overflows instead.
+        dag_path = tmp_path / "dag.txt"
+        dag_path.write_text("3\n0 2\n1 2\n")
+        samples_path = tmp_path / "samples.csv"
+        gbn.save_samples(1e160 * np.random.default_rng(43).normal(size=(40, 3)), samples_path)
+        est_path = tmp_path / "est.txt"
+        code = cli(["fit", "--dag", str(dag_path), "--samples", str(samples_path), "--method", "cauchy_est", "--out", str(est_path)])
+        assert code == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err == "numerical failure: degenerate variance estimate at nodes [0, 1, 2]; no model written\n"
+        assert not est_path.exists()
+
     def test_fit_rejects_infinite_samples(self, tmp_path, capsys):
         dag_path, _, samples_path = _generate(tmp_path)
         lines = samples_path.read_text().splitlines()
@@ -284,6 +298,10 @@ class TestUsageErrors:
 
     def test_bad_method_choice(self, tmp_path):
         code = cli(["fit", "--dag", "x", "--samples", "y", "--method", "ridge", "--out", "z"])
+        assert code == EXIT_USAGE
+
+    def test_fit_has_no_split_option(self):
+        code = cli(["fit", "--dag", "x", "--samples", "y", "--method", "least_squares", "--split", "0.3", "--out", "z"])
         assert code == EXIT_USAGE
 
     def test_help_exits_clean(self, capsys):

@@ -16,6 +16,7 @@ from gbnlearn.estimators import (
     COEFFICIENT_METHODS,
     DEGENERATE_VARIANCE,
     MAD_SCALE,
+    VARIANCE_METHODS,
     FitConfig,
     _batch_solve_stack,
     _lstsq_stack,
@@ -477,6 +478,20 @@ class TestCauchyEst:
         with pytest.raises(InvalidParameter, match="parent block or target contains NaN or infinite values"):
             cauchy_est_node(x, y)
 
+    @pytest.mark.parametrize("k", [-900, -600, 300, 520, 900])
+    @pytest.mark.parametrize("p", [1, 2, 4])
+    def test_power_of_two_scale_keeps_every_bit(self, p, k):
+        # X^T X / m overflows above about 1e154 and underflows near 2^-600;
+        # Mhat is formed on power-of-two-scaled data, so scaling x and y
+        # by 2^k moves no bit of the estimate.
+        rng = np.random.default_rng(42)
+        x = rng.normal(size=(40, p))
+        y = x @ rng.normal(size=p) + rng.normal(size=40)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = cauchy_est_node(np.ldexp(x, k), np.ldexp(y, k))
+        assert _bits(scaled).tolist() == _bits(cauchy_est_node(x, y)).tolist()
+
     def test_cholesky_failure_surfaces(self):
         col = np.array([1.0, 2.0, 3.0])
         x = np.column_stack([col, col])  # singular second-moment matrix
@@ -602,12 +617,6 @@ class TestFitConfig:
         with pytest.raises(ConfigInvalid):
             FitConfig(method="gradient_descent")
 
-    def test_bad_split(self):
-        with pytest.raises(ConfigInvalid):
-            FitConfig(method="least_squares", split_fraction=1.0)
-        with pytest.raises(ConfigInvalid):
-            FitConfig(method="least_squares", split_fraction=0.0)
-
     def test_batch_extra_must_be_positive_for_batch_methods(self):
         with pytest.raises(ConfigInvalid):
             FitConfig(method="batch_avg", batch_extra=0)
@@ -641,10 +650,39 @@ class TestFit:
     def test_split_sizes(self):
         dag = build_dag(1, [])
         data = np.ones((1000, 1))
-        # floor(0.5 * 1000) = 500 coefficient rows; just check it runs and
+        # 1000 // 2 = 500 coefficient rows; just check it runs and
         # the variance comes from the other 500 (all ones here).
         model = fit(dag, data, FitConfig(method="least_squares", variance_method="mad"))
         assert model.variances[0] == 0.0 + DEGENERATE_VARIANCE  # constant residuals
+
+    def test_odd_row_count_gives_the_extra_row_to_variances(self):
+        # m = 5: the coefficient comes from rows 0-1 (exactly 2), the
+        # variances from rows 2-4 (node 1's residuals -2, 1 and 5).
+        dag = build_dag(2, [(0, 1)])
+        data = np.array([[1.0, 2.0], [2.0, 4.0], [1.0, 0.0], [1.0, 3.0], [0.0, 5.0]])
+        model = fit(dag, data, FitConfig(method="least_squares"))
+        assert model.coeffs[1] == pytest.approx([2.0], rel=1e-12)
+        assert model.variances[0] == pytest.approx(2.0 / 3.0, rel=1e-12)
+        assert model.variances[1] == pytest.approx(10.0, rel=1e-12)
+
+    def test_one_row_is_insufficient(self):
+        dag = build_dag(2, [(0, 1)])
+        with pytest.raises(InsufficientSamples, match="^needs at least 2 rows, one per phase, got 1$"):
+            fit(dag, np.ones((1, 2)), FitConfig(method="least_squares"))
+
+    @pytest.mark.parametrize("variance_method", VARIANCE_METHODS)
+    @pytest.mark.parametrize("method", COEFFICIENT_METHODS)
+    def test_overflowing_variance_is_flagged_without_warnings(self, method, variance_method):
+        # Every residual near 1e200 squares past the float range: each
+        # estimate is inf, so each node is degenerate and none warns.
+        dag = build_dag(3, [(0, 2), (1, 2)])
+        data = 1e200 * np.random.default_rng(41).normal(size=(40, 3))
+        config = FitConfig(method=method, batch_extra=3, variance_method=variance_method)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outcome = fit_detailed(dag, data, config)
+        assert outcome.degenerate_nodes == (0, 1, 2)
+        assert (outcome.model.variances == DEGENERATE_VARIANCE).all()
 
     def test_noiseless_recovery_through_full_pipeline(self):
         rng = np.random.default_rng(12)
