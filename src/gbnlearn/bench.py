@@ -4,10 +4,12 @@ A run sweeps one graph family x scenario across a list of estimators and
 sample sizes with seeded repetitions. Per repetition, the graph, the
 true model, and one dataset at the largest sample size are generated
 once; smaller sample sizes reuse that dataset's prefix rows, so curves
-across m share randomness within a repetition. Output is plain CSV: one
-raw row per (method, m, repetition) in ``results.csv`` and a per-(method,
-m) summary in ``summary.csv``, whose ``median_kl`` column is each method's
-KL curve.
+across m share randomness within a repetition. Each method fits every
+sample size of a repetition in one pass, which solves each coefficient
+batch once (:func:`gbnlearn.estimators.fit_prefixes`). Output is plain
+CSV: one raw row per (method, m, repetition) in ``results.csv`` and a
+per-(method, m) summary in ``summary.csv``, whose ``median_kl`` column is
+each method's KL curve.
 
 Each JSON config object is read from its dataclass, whose fields are its keys;
 a scenario or variance class's ``KIND`` is its JSON ``kind``. The contaminated
@@ -203,50 +205,65 @@ def generate_rep_data(config: ExperimentConfig, rep: int) -> RepData:
     return RepData(truth=truth, fit_dag=fit_dag, data=data, seed=seed, rep=rep)
 
 
-def _run_cell(config: ExperimentConfig, rd: RepData, mspec: MethodSpec, m: int, truth_cov, parent_covs) -> ResultRow:
-    """The :class:`ResultRow` of one method fit on the first ``m`` rows of ``rd``.
+def _fits(rd: RepData, mspec: MethodSpec, sizes) -> list:
+    # One estimate per size, None where the fit raised a NumericalError.
+    if mspec.config.method == "empirical_mle":
+        return [estimators.empirical_mle(rd.data[:m]) for m in sizes]
+    fits = estimators.fit_prefixes(rd.fit_dag, rd.data, mspec.config, sizes)
+    return [None if isinstance(f, NumericalError) else f for f in fits]
 
-    ``truth_cov`` (the truth's joint covariance, or None when no method is
-    ``empirical_mle``) and ``parent_covs`` (its parent blocks) are computed
-    once per repetition. ``fit_wall_ms`` times the fit alone, not the
-    scoring, and is 0 unless ``record_timing`` is on. A NumericalError
-    from the fit or the scoring, or a floored variance, leaves
-    ``kl_total`` None, and that is what marks the row degenerate.
+
+def _method_rows(config: ExperimentConfig, rd: RepData, mspec: MethodSpec, truth_cov, parent_covs) -> list[ResultRow]:
+    """The :class:`ResultRow` of one method at every sample size, on the prefixes of ``rd``.
+
+    One :func:`gbnlearn.estimators.fit_prefixes` call fits every size,
+    solving each coefficient batch once. With ``record_timing`` on, each
+    size is fitted by its own call instead, so that ``fit_wall_ms`` times
+    one fit at m alone, not the scoring; the rows are the same either way
+    except for that column, which is 0 with timing off. ``truth_cov``
+    (the truth's joint covariance, or None when no method is
+    ``empirical_mle``) and ``parent_covs`` (its parent blocks) are
+    computed once per repetition. A NumericalError from the fit or the
+    scoring, or a floored variance, leaves ``kl_total`` None, and that is
+    what marks the row degenerate.
     """
-    data_m = rd.data[:m]
-    mle = mspec.config.method == "empirical_mle"
-    t0 = time.perf_counter()
-    try:
-        if mle:
-            estimate = estimators.empirical_mle(data_m)
-        else:
-            estimate = estimators.fit_detailed(rd.fit_dag, data_m, mspec.config)
-    except NumericalError:
-        estimate = None
-    fit_wall_ms = (time.perf_counter() - t0) * 1000.0 if config.record_timing else 0.0
-    kl_total = None
-    try:
-        if mle and estimate is not None:
-            kl_total = gbn.gaussian_kl(truth_cov, estimate)
-        elif estimate is not None and not estimate.degenerate_nodes:
-            kl_total = gbn.kl_divergence(rd.truth, estimate.model, parent_covs=parent_covs).kl_total
-    except NumericalError:
-        pass
+    sizes = config.sample_sizes
+    if config.record_timing:
+        fits, wall_ms = [], []
+        for m in sizes:
+            t0 = time.perf_counter()
+            fits += _fits(rd, mspec, (m,))
+            wall_ms.append((time.perf_counter() - t0) * 1000.0)
+    else:
+        fits, wall_ms = _fits(rd, mspec, sizes), [0.0] * len(sizes)
     g = config.graph
-    return ResultRow(
-        method=mspec.label,
-        graph=g.kind,
-        n=g.n,
-        d=float(g.degree) if g.kind == "er" else 1.0,
-        scenario=config.scenario.KIND,
-        m=m,
-        rep=rd.rep,
-        seed=rd.seed,
-        kl_total=kl_total,
-        tv_upper=None if kl_total is None else gbn.tv_upper(kl_total),
-        fit_wall_ms=fit_wall_ms,
-        degenerate=kl_total is None,
-    )
+    rows = []
+    for m, estimate, fit_wall_ms in zip(sizes, fits, wall_ms):
+        kl_total = None
+        try:
+            if mspec.config.method == "empirical_mle":
+                kl_total = gbn.gaussian_kl(truth_cov, estimate)
+            elif estimate is not None and not estimate.degenerate_nodes:
+                kl_total = gbn.kl_divergence(rd.truth, estimate.model, parent_covs=parent_covs).kl_total
+        except NumericalError:
+            pass
+        rows.append(
+            ResultRow(
+                method=mspec.label,
+                graph=g.kind,
+                n=g.n,
+                d=float(g.degree) if g.kind == "er" else 1.0,
+                scenario=config.scenario.KIND,
+                m=m,
+                rep=rd.rep,
+                seed=rd.seed,
+                kl_total=kl_total,
+                tv_upper=None if kl_total is None else gbn.tv_upper(kl_total),
+                fit_wall_ms=fit_wall_ms,
+                degenerate=kl_total is None,
+            )
+        )
+    return rows
 
 
 def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
@@ -260,11 +277,8 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
         parent_covs = gbn.parent_covariances(rd.truth.dag, truth_cov)
         if not keep_joint:
             truth_cov = None  # only the blocks stay alive through the cells
-        rows.extend(
-            _run_cell(config, rd, mspec, m, truth_cov, parent_covs)
-            for mspec in config.methods
-            for m in config.sample_sizes
-        )
+        for mspec in config.methods:
+            rows.extend(_method_rows(config, rd, mspec, truth_cov, parent_covs))
     rows.sort(key=lambda r: (r.method, r.m, r.rep))
     return rows
 

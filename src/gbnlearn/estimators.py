@@ -22,6 +22,13 @@ the coefficient method and the remaining rows feed variance recovery
 (mean of squared residuals, or a median-absolute-deviation estimate for
 contaminated data). Each kernel checks its own row need;
 ``fit`` names the node and the method on every kernel error.
+
+``fit_prefixes`` fits several nested prefixes of one dataset in one pass,
+bit for bit as ``fit_detailed`` fits each; ``fit_detailed`` is its
+one-size case. The batch methods cut a node's rows into consecutive
+batches from row 0, so a prefix's batches are a prefix of the largest
+size's batches: each batch kernel solves its stack once and aggregates
+the first batches of each size.
 """
 
 from __future__ import annotations
@@ -32,21 +39,30 @@ import numpy as np
 import scipy.linalg
 
 from .dag import Dag
-from .errors import CholeskyFailed, ConfigInvalid, GbnError, InsufficientSamples, InvalidParameter, RankDeficient
+from .errors import (
+    CholeskyFailed,
+    ConfigInvalid,
+    GbnError,
+    InsufficientSamples,
+    InvalidParameter,
+    NumericalError,
+    RankDeficient,
+)
 from .gbn import GaussianBayesNet
 
 BATCH_METHODS = ("batch_avg", "batch_med")
 
-# Per coefficient method: the kernel that turns a node's (m1, p) parent
-# block x and target y into coefficients. Each kernel is named inside a
-# lambda, so it is looked up in this module at fit time and a patched
-# module attribute sees every call.
+# Per coefficient method: the kernel that turns a node's parent block x
+# and target y, the coefficient rows of the largest size, into one
+# estimate (or the GbnError it raises) per prefix row count in rows. Each
+# kernel is named inside a lambda, so it is looked up in this module at
+# fit time and a patched module attribute sees every call.
 _METHOD_TABLE = {
-    "least_squares": lambda x, y, extra: least_squares_node(x, y),
-    "batch_avg": lambda x, y, extra: batch_least_squares(x, y, x.shape[1] + extra, "mean"),
-    "batch_med": lambda x, y, extra: batch_least_squares(x, y, x.shape[1] + extra, "median"),
-    "cauchy_est": lambda x, y, extra: cauchy_est_node(x, y),
-    "cauchy_est_tree": lambda x, y, extra: cauchy_est_tree_node(x, y),
+    "least_squares": lambda x, y, extra, rows: _each_prefix(lambda r: least_squares_node(x[:r], y[:r]), len(x), rows),
+    "batch_avg": lambda x, y, extra, rows: batch_least_squares(x, y, x.shape[1] + extra, "mean", rows),
+    "batch_med": lambda x, y, extra, rows: batch_least_squares(x, y, x.shape[1] + extra, "median", rows),
+    "cauchy_est": lambda x, y, extra, rows: cauchy_est_node(x, y, rows),
+    "cauchy_est_tree": lambda x, y, extra, rows: cauchy_est_tree_node(x, y, rows),
 }
 COEFFICIENT_METHODS = tuple(_METHOD_TABLE)
 METHODS = COEFFICIENT_METHODS + ("empirical_mle",)
@@ -60,6 +76,10 @@ MAD_SCALE = 1.4826
 # A least-squares design is rank deficient when its smallest singular
 # value is at most this fraction of its largest.
 _LSTSQ_RCOND = 1e-6
+
+# A p >= 2 least-squares batch whose largest |X| or |y| lies outside
+# these bounds is scaled by powers of two before its QR.
+_SCALE_LO, _SCALE_HI = 2.0**-500, 2.0**500
 
 # A variance estimate at or below this floor is degenerate: the value is
 # substituted so the model stays constructible, and the node is flagged.
@@ -115,9 +135,42 @@ def _node_arrays(parent_block, target) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def _lstsq_stack(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    # Least squares over a (b, k, p) stack with k >= p. Returns the
-    # solutions of the full-rank batches only, in stack order. The rank
+def _each_prefix(estimate, m: int, rows):
+    # The shared tail of the per-node kernels. With rows None, estimate(m)
+    # itself, raising as it does. Otherwise one entry per prefix row count
+    # r in rows: estimate(r), or the GbnError it raises, so that one
+    # prefix's failure leaves the others.
+    if rows is None:
+        return estimate(m)
+    if any(not 0 <= r <= m for r in rows):
+        raise InvalidParameter(f"prefix row counts must lie in [0, {m}], got {list(rows)}")
+    out = []
+    for r in rows:
+        try:
+            out.append(estimate(r))
+        except GbnError as exc:
+            out.append(exc)
+    return out
+
+
+def _median(a: np.ndarray):
+    # np.median(a, axis=0) bit for bit, without its argument handling: the
+    # same partition (np.median's kth: the central index or pair, and the
+    # last index for the NaN check), the mean of the central pair, and the
+    # column's NaN wherever its largest entry is one.
+    n = len(a)
+    kth = [n // 2 - 1, n // 2, -1] if n % 2 == 0 else [n // 2, -1]
+    part = np.partition(a, kth, axis=0)
+    last = part[-1]
+    return np.where(np.isnan(last), last, part[(n - 1) // 2 : n // 2 + 1].mean(axis=0))
+
+
+def _lstsq_stack(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Least squares over a (b, k, p) stack with k >= p. Returns a (b, p)
+    # array of solutions and a (b,) mask of the full-rank batches; the row
+    # of a rank-deficient batch holds no solution. Every step works batch
+    # by batch, so a batch's row and mask bit depend on that batch alone
+    # and the first c batches give the same bits in any stack. The rank
     # rule is lstsq's, on the singular values of X: rank deficient when
     # s_min <= _LSTSQ_RCOND * s_max.
     #
@@ -131,28 +184,43 @@ def _lstsq_stack(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     # bit-identical to lstsq, whose bits depend on the BLAS kernels. A
     # single column has s_min = s_max = ||x||, so it is rank deficient
     # exactly when it is all zero.
-    p = xs.shape[2]
+    b, _, p = xs.shape
+    sols = np.zeros((b, p))
     if p == 1:
         x_max = np.abs(xs[..., 0]).max(axis=1)
-        keep = x_max > 0.0
-        x, y = xs[keep, :, 0], ys[keep]
-        ex = np.frexp(x_max[keep])[1]
+        ok = x_max > 0.0
+        x, y = xs[ok, :, 0], ys[ok]
+        ex = np.frexp(x_max[ok])[1]
         ey = np.frexp(np.abs(y).max(axis=1))[1]
         u, v = np.ldexp(x, -ex[:, None]), np.ldexp(y, -ey[:, None])
-        sols = (u * v).sum(axis=1) / (u * u).sum(axis=1)
         with np.errstate(over="ignore"):  # a solution beyond the float range is +-inf, as lstsq's is
-            return np.ldexp(sols, ey - ex)[:, None]
-    # p >= 2: one batched QR of [X | y] gives R and Q^T y together, then
-    # one batched solve of the leading p x p triangles gives the solutions
-    # and R^-1. Two bounds settle almost every batch's rank without an
-    # SVD. s_min <= min|R_jj| and max|R_jj| <= s_max, so a small diagonal
-    # ratio is rank deficient; and s_max / s_min <= ||R||_F * ||R^-1||_F,
-    # so a small product is full rank. At extreme scales the norms can
-    # overflow; an inf or nan product leaves the batch to the SVD check.
+            sols[ok, 0] = np.ldexp((u * v).sum(axis=1) / (u * u).sum(axis=1), ey - ex)
+        return sols, ok
+    # p >= 2: a batch whose largest |X| or |y| lies outside
+    # [_SCALE_LO, _SCALE_HI] is first scaled, X by one power of two and y
+    # by another. That scales every singular value of X alike, so the rank
+    # rule holds, and the solution scales back exactly; subnormal and huge
+    # batches then factor in range. The other batches keep their bits.
     aug = np.concatenate([xs, ys[..., None]], axis=2)
+    peak = np.abs(aug).max(axis=1)
+    x_max, y_max = peak[:, :p].max(axis=1), peak[:, p]
+    scaled = np.flatnonzero((np.minimum(x_max, y_max) < _SCALE_LO) | (np.maximum(x_max, y_max) > _SCALE_HI))
+    if len(scaled):
+        ex, ey = np.frexp(x_max[scaled])[1], np.frexp(y_max[scaled])[1]
+        aug[scaled, :, :p] = np.ldexp(aug[scaled, :, :p], -ex[:, None, None])
+        aug[scaled, :, p] = np.ldexp(aug[scaled, :, p], -ey[:, None])
+    # One batched QR of [X | y] gives R and Q^T y together, then one
+    # batched solve of the leading p x p triangles gives the solutions and
+    # R^-1. Two bounds settle almost every batch's rank without an SVD.
+    # s_min <= min|R_jj| and max|R_jj| <= s_max, so a small diagonal ratio
+    # is rank deficient; and s_max / s_min <= ||R||_F * ||R^-1||_F, so a
+    # small product is full rank. If the norms overflow, an inf or nan
+    # product leaves the batch to the SVD check.
     r = np.linalg.qr(aug, mode="r")
     diag = np.abs(np.diagonal(r[:, :p, :p], axis1=1, axis2=2))
-    r = r[diag.min(axis=1, initial=np.inf) > _LSTSQ_RCOND * diag.max(axis=1, initial=0.0)]
+    ok = diag.min(axis=1, initial=np.inf) > _LSTSQ_RCOND * diag.max(axis=1, initial=0.0)
+    kept = np.flatnonzero(ok)
+    r = r[ok]
     tri = r[:, :p, :p]
     rhs = np.concatenate([r[:, :p, p:], np.broadcast_to(np.eye(p), tri.shape)], axis=2)
     z = np.linalg.solve(tri, rhs)  # columns: the solution, then R^-1
@@ -163,7 +231,12 @@ def _lstsq_stack(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     if len(unsure):
         sv = np.linalg.svd(tri[unsure], compute_uv=False)
         full_rank[unsure] = sv[:, -1] > _LSTSQ_RCOND * sv[:, 0]
-    return z[full_rank, :, 0]
+    sols[kept] = z[..., 0]
+    ok[kept] = full_rank
+    if len(scaled):
+        with np.errstate(over="ignore"):  # as in the p = 1 closed form
+            sols[scaled] = np.ldexp(sols[scaled], (ey - ex)[:, None])
+    return sols, ok
 
 
 def least_squares_node(parent_block: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -182,13 +255,15 @@ def least_squares_node(parent_block: np.ndarray, target: np.ndarray) -> np.ndarr
     m, p = x.shape
     if m < p:
         raise InsufficientSamples(f"needs at least {p} rows, got {m}")
-    sols = _lstsq_stack(x[None], y[None])
-    if not len(sols):
+    sols, ok = _lstsq_stack(x[None], y[None])
+    if not ok[0]:
         raise RankDeficient(f"design matrix has relative singular value <= {_LSTSQ_RCOND}")
     return sols[0]
 
 
-def batch_least_squares(parent_block: np.ndarray, target: np.ndarray, k: int, aggregator: str) -> np.ndarray:
+def batch_least_squares(
+    parent_block: np.ndarray, target: np.ndarray, k: int, aggregator: str, rows=None
+) -> np.ndarray:
     """Disjoint consecutive batches of ``k`` rows, least squares per batch.
 
     ``k`` must exceed the parent count; ``floor(m / k)`` batches are used
@@ -201,6 +276,10 @@ def batch_least_squares(parent_block: np.ndarray, target: np.ndarray, k: int, ag
     ``aggregator`` selects ``"mean"`` or coordinate-wise
     ``"median"`` (an even solution count yields the average of the two
     central order statistics per coordinate).
+
+    With ``rows``, a sequence of prefix row counts, the batches are solved
+    once and the call returns one entry per count ``r``: the estimate of
+    the first ``r`` rows, bit for bit, or the error that call would raise.
     """
     x, y = _node_arrays(parent_block, target)
     if aggregator not in ("mean", "median"):
@@ -209,14 +288,18 @@ def batch_least_squares(parent_block: np.ndarray, target: np.ndarray, k: int, ag
     if k <= p:
         raise InvalidParameter(f"batch size {k} must exceed parent count {p}")
     b = m // k
-    if b < 1:
-        raise InsufficientSamples(f"needs at least {k} rows, got {m}")
-    stacked = _lstsq_stack(x[: b * k].reshape(b, k, p), y[: b * k].reshape(b, k))
-    if not len(stacked):
-        raise RankDeficient(f"all {b} batches were rank deficient")
-    if aggregator == "mean":
-        return stacked.mean(axis=0)
-    return np.median(stacked, axis=0)
+    sols, ok = _lstsq_stack(x[: b * k].reshape(b, k, p), y[: b * k].reshape(b, k))
+
+    def estimate(r):
+        b = r // k
+        if b < 1:
+            raise InsufficientSamples(f"needs at least {k} rows, got {r}")
+        kept = sols[:b][ok[:b]]
+        if not len(kept):
+            raise RankDeficient(f"all {b} batches were rank deficient")
+        return kept.mean(axis=0) if aggregator == "mean" else _median(kept)
+
+    return _each_prefix(estimate, m, rows)
 
 
 def batch_solve(square_block: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -247,7 +330,8 @@ def _batch_solve_stack(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     # batch (OpenBLAS divides by the pivot), and a zero or overflowing
     # divisor marks only its own batch. For p > 1 one singular matrix
     # makes the stacked LAPACK solve raise, which leaves every batch
-    # without one. Bitwise identical to looping batch_solve either way.
+    # without one. Bitwise identical to looping batch_solve either way,
+    # so the first c rows are the solutions of the first c * p rows.
     m, p = x.shape
     b = m // p
     xs = x[: b * p].reshape(b, p, p)
@@ -265,7 +349,16 @@ def _batch_solve_stack(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return sols
 
 
-def cauchy_est_tree_node(parent_block: np.ndarray, target: np.ndarray) -> np.ndarray:
+def _square_batches(parent_block, target) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # The shared head of the Cauchy kernels: the checked arrays and the
+    # solutions of all their square batches.
+    x, y = _node_arrays(parent_block, target)
+    if x.shape[1] < 1:
+        raise InvalidParameter("node must have at least one parent")
+    return x, y, _batch_solve_stack(x, y)
+
+
+def cauchy_est_tree_node(parent_block: np.ndarray, target: np.ndarray, rows=None) -> np.ndarray:
     """Coordinate-wise median of square-batch solutions.
 
     Rows are split into ``floor(m / p)`` disjoint batches of exactly
@@ -273,17 +366,20 @@ def cauchy_est_tree_node(parent_block: np.ndarray, target: np.ndarray) -> np.nda
     the per-batch errors are independent scaled Cauchy variables, so the
     median concentrates even with heavy tails and corrupted rows. Input
     holding NaN or +-inf raises InvalidParameter before any solve.
+    ``rows`` works as in :func:`batch_least_squares`.
     """
-    x, y = _node_arrays(parent_block, target)
+    x, y, sols = _square_batches(parent_block, target)
     m, p = x.shape
-    if p < 1:
-        raise InvalidParameter("node must have at least one parent")
-    if m < p:
-        raise InsufficientSamples(f"needs at least {p} rows, got {m}")
-    return np.median(_batch_solve_stack(x, y), axis=0)
+
+    def estimate(r):
+        if r < p:
+            raise InsufficientSamples(f"needs at least {p} rows, got {r}")
+        return _median(sols[: r // p])
+
+    return _each_prefix(estimate, m, rows)
 
 
-def cauchy_est_node(parent_block: np.ndarray, target: np.ndarray) -> np.ndarray:
+def cauchy_est_node(parent_block: np.ndarray, target: np.ndarray, rows=None) -> np.ndarray:
     """Median of square-batch solutions in a whitened coordinate system.
 
     The empirical parent second-moment matrix ``Mhat = X^T X / m`` (all
@@ -292,25 +388,28 @@ def cauchy_est_node(parent_block: np.ndarray, target: np.ndarray) -> np.ndarray:
     coordinate-wise median is taken there, and the result is mapped back
     by ``(L^T)^-1``. Requires ``m >= p + 1``. A failed factorization
     raises CholeskyFailed; it is never silently regularized. Input
-    holding NaN or +-inf raises InvalidParameter first.
+    holding NaN or +-inf raises InvalidParameter first. ``rows`` works as
+    in :func:`batch_least_squares`; each prefix has its own ``Mhat``.
     """
-    x, y = _node_arrays(parent_block, target)
+    x, y, sols = _square_batches(parent_block, target)
     m, p = x.shape
-    if p < 1:
-        raise InvalidParameter("node must have at least one parent")
-    if m < p + 1:
-        raise InsufficientSamples(f"needs at least {p + 1} rows, got {m}")
-    # Mhat is formed on x scaled by the power of two of its largest
-    # magnitude, so X^T X neither over- nor underflows at extreme scales.
-    # L then carries that power, which cancels exactly between the
-    # whitening and the back-solve.
-    u = np.ldexp(x, -np.frexp(np.abs(x).max())[1])
-    try:
-        ell = np.linalg.cholesky(u.T @ u / m)
-    except np.linalg.LinAlgError as exc:
-        raise CholeskyFailed(f"empirical parent covariance is not positive definite: {exc}") from exc
-    whitened_median = np.median(_batch_solve_stack(x, y) @ ell, axis=0)
-    return scipy.linalg.solve_triangular(ell.T, whitened_median, lower=False)
+
+    def estimate(r):
+        if r < p + 1:
+            raise InsufficientSamples(f"needs at least {p + 1} rows, got {r}")
+        # Mhat is formed on x scaled by the power of two of its largest
+        # magnitude, so X^T X neither over- nor underflows at extreme
+        # scales. L then carries that power, which cancels exactly between
+        # the whitening and the back-solve.
+        u = np.ldexp(x[:r], -np.frexp(np.abs(x[:r]).max())[1])
+        try:
+            ell = np.linalg.cholesky(u.T @ u / r)
+        except np.linalg.LinAlgError as exc:
+            raise CholeskyFailed(f"empirical parent covariance is not positive definite: {exc}") from exc
+        whitened_median = _median(sols[: r // p] @ ell)
+        return scipy.linalg.solve_triangular(ell.T, whitened_median, lower=False)
+
+    return _each_prefix(estimate, m, rows)
 
 
 def empirical_mle(data: np.ndarray) -> np.ndarray:
@@ -364,13 +463,96 @@ def mad_variance(residuals: np.ndarray) -> float:
     r = np.asarray(residuals, dtype=float).reshape(-1)
     if r.size < 1:
         raise InsufficientSamples("mad_variance needs at least one value")
-    center = float(np.median(r))
-    sigma = MAD_SCALE * float(np.median(np.abs(r - center)))
+    center = float(_median(r))
+    sigma = MAD_SCALE * float(_median(np.abs(r - center)))
     return sigma * sigma
 
 
 # --------------------------------------------------------------------------
 # full-model fitting
+
+
+def fit_prefixes(dag: Dag, data: np.ndarray, config: FitConfig, sizes=None) -> list:
+    """:func:`fit_detailed` on each prefix ``data[:m]``, ``m`` in ``sizes``, in one pass.
+
+    ``sizes`` is strictly increasing and at most the row count, which is
+    the default. Entry ``j`` is what ``fit_detailed(dag, data[:sizes[j]],
+    config)`` returns, bit for bit, or the NumericalError it raises; a
+    non-numerical GbnError is raised from the first size that meets one,
+    as a loop of ``fit_detailed`` calls would raise it. Per node, the
+    kernel gets the coefficient rows of the largest size still fitting and
+    the row counts ``m // 2`` of those sizes: the batch methods solve each
+    batch once and aggregate a prefix of the solutions per size, and
+    least squares solves per size. A size stops at its first failed node.
+    """
+    if config.method == "empirical_mle":
+        raise ConfigInvalid(
+            "empirical_mle is not a per-node coefficient method; call empirical_mle() "
+            "and score it with gaussian_kl"
+        )
+    x = np.asarray(data, dtype=float)
+    if x.ndim != 2 or x.shape[1] != dag.n:
+        raise InvalidParameter(f"expected (m, {dag.n}) samples, got shape {x.shape}")
+    sizes = (x.shape[0],) if sizes is None else tuple(sizes)
+    if not sizes or sizes[0] < 0 or sizes[-1] > x.shape[0] or any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise InvalidParameter(f"sizes must be strictly increasing within [0, {x.shape[0]}], got {list(sizes)}")
+    # fit_detailed's own checks on each data[:m], before any node.
+    finite = np.isfinite(x[: sizes[-1]])
+    first_bad = sizes[-1] if finite.all() else int(np.flatnonzero(~finite.all(axis=1))[0])
+    errors: list[GbnError | None] = [None] * len(sizes)
+    for j, m in enumerate(sizes):
+        if m > first_bad:
+            errors[j] = InvalidParameter("samples contain NaN or infinite values")
+        elif m < 2:
+            errors[j] = InsufficientSamples(f"needs at least 2 rows, one per phase, got {m}")
+    kernel = _METHOD_TABLE[config.method]
+    coeffs: list[list[np.ndarray]] = [[] for _ in sizes]
+    for i in range(dag.n):
+        live = [j for j, err in enumerate(errors) if err is None]
+        if not live:
+            break
+        pa = dag.parents[i]
+        if not pa:
+            for j in live:
+                coeffs[j].append(np.zeros(0))
+            continue
+        rows = [sizes[j] // 2 for j in live]
+        try:
+            estimates = kernel(x[: rows[-1], pa], x[: rows[-1], i], config.batch_extra, rows)
+        except GbnError as exc:
+            estimates = [exc] * len(rows)
+        for j, est in zip(live, estimates):
+            if isinstance(est, GbnError):
+                errors[j] = type(est)(f"node {i}: method {config.method}: {est}")
+                errors[j].__cause__ = est
+            else:
+                coeffs[j].append(est)
+    out: list = []
+    for m, err, node_coeffs in zip(sizes, errors, coeffs):
+        if err is None:
+            out.append(_variance_phase(dag, x[m // 2 : m], node_coeffs, config.variance_method))
+        elif isinstance(err, NumericalError):
+            out.append(err)
+        else:
+            raise err
+    return out
+
+
+def _variance_phase(dag: Dag, tail: np.ndarray, coeffs, variance_method: str) -> FitOutcome:
+    # Phase two of a fit: noise variances from the residuals of the rows
+    # after the coefficient rows, with degenerate estimates floored.
+    if variance_method == "empirical":
+        variances = variance_recovery(dag, tail, coeffs)
+    else:
+        resid = _residual_columns(dag, tail, coeffs)
+        variances = np.array([mad_variance(resid[:, i]) for i in range(dag.n)])
+    degenerate = tuple(
+        i for i in range(dag.n) if not np.isfinite(variances[i]) or variances[i] <= DEGENERATE_VARIANCE
+    )
+    for i in degenerate:
+        variances[i] = DEGENERATE_VARIANCE
+    model = GaussianBayesNet(dag=dag, coeffs=tuple(coeffs), variances=variances)
+    return FitOutcome(model=model, degenerate_nodes=degenerate)
 
 
 def fit_detailed(dag: Dag, data: np.ndarray, config: FitConfig) -> FitOutcome:
@@ -385,45 +567,12 @@ def fit_detailed(dag: Dag, data: np.ndarray, config: FitConfig) -> FitOutcome:
     ``degenerate_nodes`` so callers can exclude the fit from scoring.
     Samples holding NaN or +-inf are rejected with InvalidParameter before
     any solve; a kernel error keeps its class and gains ``node i: method M:``.
+    This is :func:`fit_prefixes` with the one size ``m``.
     """
-    if config.method == "empirical_mle":
-        raise ConfigInvalid(
-            "empirical_mle is not a per-node coefficient method; call empirical_mle() "
-            "and score it with gaussian_kl"
-        )
-    x = np.asarray(data, dtype=float)
-    if x.ndim != 2 or x.shape[1] != dag.n:
-        raise InvalidParameter(f"expected (m, {dag.n}) samples, got shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise InvalidParameter("samples contain NaN or infinite values")
-    m = x.shape[0]
-    if m < 2:
-        raise InsufficientSamples(f"needs at least 2 rows, one per phase, got {m}")
-    m1 = m // 2
-    kernel = _METHOD_TABLE[config.method]
-    coeffs: list[np.ndarray] = []
-    for i in range(dag.n):
-        pa = dag.parents[i]
-        if not pa:
-            coeffs.append(np.zeros(0))
-            continue
-        try:
-            coeffs.append(kernel(x[:m1, pa], x[:m1, i], config.batch_extra))
-        except GbnError as exc:
-            raise type(exc)(f"node {i}: method {config.method}: {exc}") from exc
-    tail = x[m1:]
-    if config.variance_method == "empirical":
-        variances = variance_recovery(dag, tail, coeffs)
-    else:
-        resid = _residual_columns(dag, tail, coeffs)
-        variances = np.array([mad_variance(resid[:, i]) for i in range(dag.n)])
-    degenerate = tuple(
-        i for i in range(dag.n) if not np.isfinite(variances[i]) or variances[i] <= DEGENERATE_VARIANCE
-    )
-    for i in degenerate:
-        variances[i] = DEGENERATE_VARIANCE
-    model = GaussianBayesNet(dag=dag, coeffs=tuple(coeffs), variances=variances)
-    return FitOutcome(model=model, degenerate_nodes=degenerate)
+    (outcome,) = fit_prefixes(dag, data, config)
+    if isinstance(outcome, NumericalError):
+        raise outcome
+    return outcome
 
 
 def fit(dag: Dag, data: np.ndarray, config: FitConfig) -> GaussianBayesNet:

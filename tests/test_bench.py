@@ -1,6 +1,7 @@
 """Benchmark harness: config parsing, sweeps, aggregation, CSV output."""
 
 import csv
+import dataclasses
 import json
 import statistics
 import time
@@ -18,7 +19,7 @@ from gbnlearn.bench import (
     MethodSpec,
     RepData,
     ResultRow,
-    _run_cell,
+    _method_rows,
     _rep_seeds,
     generate_rep_data,
     load_config,
@@ -432,6 +433,26 @@ class TestRunExperiment:
         rows = run_experiment(_tiny_config(record_timing=True))
         assert any(r.fit_wall_ms > 0.0 for r in rows)
 
+    def test_timing_changes_only_the_timing_column(self):
+        # With timing on, each size is fitted by its own call; off, one call
+        # fits every size. The rows must agree in every other column.
+        methods = tuple(
+            MethodSpec(cfg.method, cfg)
+            for cfg in (
+                FitConfig(method="least_squares"),
+                FitConfig(method="batch_avg", batch_extra=3),
+                FitConfig(method="batch_med", batch_extra=3, variance_method="mad"),
+                FitConfig(method="cauchy_est_tree"),
+                FitConfig(method="cauchy_est", variance_method="mad"),
+                FitConfig(method="empirical_mle"),
+            )
+        )
+        cfg = _tiny_config(graph=GraphSpec("er", 12, 3.0), methods=methods, sample_sizes=(16, 60, 150), repetitions=2)
+        off = run_experiment(cfg)
+        on = run_experiment(dataclasses.replace(cfg, record_timing=True))
+        assert [dataclasses.replace(r, fit_wall_ms=0.0) for r in on] == off
+        assert len(off) == 6 * 3 * 2 and not any(r.degenerate for r in off)
+
     def test_timing_covers_the_fit_and_not_the_scoring(self, monkeypatch):
         def slow(score):
             def scored(*args, **kwargs):
@@ -523,14 +544,17 @@ class TestScenarios:
         def recording(fn):
             def wrapped(*args, **kwargs):
                 try:
-                    return fn(*args, **kwargs)
+                    result = fn(*args, **kwargs)
                 except NumericalError as exc:
                     raised.append(type(exc))
                     raise
+                if isinstance(result, list):  # fit_prefixes returns a size's NumericalError
+                    raised.extend(type(r) for r in result if isinstance(r, NumericalError))
+                return result
 
             return wrapped
 
-        monkeypatch.setattr(estimators, "fit_detailed", recording(estimators.fit_detailed))
+        monkeypatch.setattr(estimators, "fit_prefixes", recording(estimators.fit_prefixes))
         monkeypatch.setattr(gbn, "gaussian_kl", recording(gbn.gaussian_kl))
         rng = np.random.default_rng(0)
         dag = random_er_dag(30, 3.0, rng)
@@ -551,7 +575,9 @@ class TestScenarios:
             )
         ]
         config = ExperimentConfig(GraphSpec("er", 30, 3.0), tuple(methods), (400,), 1, 0)
-        degenerate = {ms.label: _run_cell(config, rd, ms, 400, truth_cov, parent_covs).degenerate for ms in methods}
+        degenerate = {
+            ms.label: _method_rows(config, rd, ms, truth_cov, parent_covs)[0].degenerate for ms in methods
+        }
         assert degenerate == {
             "least_squares": True,
             "batch_avg": True,

@@ -10,7 +10,15 @@ from hypothesis import strategies as st
 
 from gbnlearn import estimators
 from gbnlearn.dag import build_dag, random_er_dag, random_tree_dag
-from gbnlearn.errors import CholeskyFailed, ConfigInvalid, InsufficientSamples, InvalidParameter, RankDeficient
+from gbnlearn.errors import (
+    CholeskyFailed,
+    ConfigInvalid,
+    GbnError,
+    InsufficientSamples,
+    InvalidParameter,
+    NumericalError,
+    RankDeficient,
+)
 from gbnlearn.estimators import (
     _LSTSQ_RCOND,
     COEFFICIENT_METHODS,
@@ -18,8 +26,10 @@ from gbnlearn.estimators import (
     MAD_SCALE,
     VARIANCE_METHODS,
     FitConfig,
+    FitOutcome,
     _batch_solve_stack,
     _lstsq_stack,
+    _median,
     batch_least_squares,
     batch_solve,
     cauchy_est_node,
@@ -27,6 +37,7 @@ from gbnlearn.estimators import (
     empirical_mle,
     fit,
     fit_detailed,
+    fit_prefixes,
     least_squares_node,
     mad_variance,
     variance_recovery,
@@ -212,7 +223,9 @@ class TestRankRule:
         ys = self._targets(xs)
         refs = [np.linalg.lstsq(x, y, rcond=_LSTSQ_RCOND)[0] for x, y in zip(xs, ys) if _lstsq_full_rank(x)]
         assert len(refs) == 2
-        sols = _lstsq_stack(np.stack(xs), ys)
+        sols, ok = _lstsq_stack(np.stack(xs), ys)
+        assert ok.tolist() == [_lstsq_full_rank(x) for x in xs]
+        sols = sols[ok]
         assert sols.shape == (2, 3)
         for sol, ref in zip(sols, refs):
             assert sol == pytest.approx(ref, rel=1e-8)
@@ -250,17 +263,20 @@ class TestRankRule:
             else:
                 with pytest.raises(RankDeficient):
                     least_squares_node(x[:, None], y)
-        sols = _lstsq_stack(xs, ys)
+        sols, ok = _lstsq_stack(xs, ys)
+        sols = sols[ok]
         assert sols.shape == (len(refs), 1)
         assert sols == pytest.approx(np.stack(refs), rel=1e-12)
         out = batch_least_squares(xs.reshape(-1, 1), ys.reshape(-1), k=self.K, aggregator="median")
         assert out == pytest.approx(np.median(refs, axis=0), rel=1e-12)
 
 
-@pytest.mark.parametrize("scale", [1e160, 1e200, 1e-200])
+@pytest.mark.parametrize("scale", [1e160, 1e200, 1e-200, 1e-310])
 def test_two_parent_extreme_scales_match_lstsq_without_warnings(scale):
-    # ||R||_F * ||R^-1||_F overflows at these scales; the batch must then
-    # fall to the SVD rank check, not warn.
+    # Unscaled, ||R||_F * ||R^-1||_F overflows at the first three scales,
+    # and a QR of subnormal data (1e-310) loses the solution to +-inf. Each
+    # batch is scaled by powers of two first, so no warning is raised and
+    # the solutions match lstsq.
     rng = np.random.default_rng(25)
     x = rng.normal(size=(24, 2))
     y = x @ np.array([1.0, -2.0]) + 0.1 * rng.normal(size=24)
@@ -284,8 +300,8 @@ def test_stacked_kernel_matches_per_batch_lstsq():
             refs = np.stack(
                 [np.linalg.lstsq(x[s * k : (s + 1) * k], y[s * k : (s + 1) * k], rcond=None)[0] for s in range(b)]
             )
-            sols = _lstsq_stack(x.reshape(b, k, p), y.reshape(b, k))
-            assert sols.shape == refs.shape
+            sols, ok = _lstsq_stack(x.reshape(b, k, p), y.reshape(b, k))
+            assert ok.all() and sols.shape == refs.shape
             for sol, ref in zip(sols, refs):
                 assert np.linalg.norm(sol - ref) <= 1e-10 * np.linalg.norm(ref), (p, k)
             mean = batch_least_squares(x, y, k=k, aggregator="mean")
@@ -356,23 +372,36 @@ class TestOneParentDivision:
         assert np.array_equal(_bits(sols), _bits(expected))
 
 
-def test_one_parent_closed_form_matches_lstsq_over_300_decades():
-    # The p = 1 least squares is <x, y> / <x, x>, not LAPACK's QR, so it is
-    # compared by value: columns and targets over 300 decades, each batch
-    # within 1e-10 relative of lstsq, and no floating-point warning.
-    rng = np.random.default_rng(46)
-    b, k = 20000, 6
-    scale = _random_magnitudes(rng, (b, 1), -150, 150)
+def _check_lstsq_over_300_decades(p, b, seed):
+    # Batches whose columns and targets span 300 decades: each solution
+    # within 1e-10 relative of lstsq (in norm), and no floating-point
+    # warning.
+    rng = np.random.default_rng(seed)
+    k = p + 5
+    scale = _random_magnitudes(rng, (b, 1, 1), -150, 150)
     coef = _random_magnitudes(rng, (b, 1), -150, 150)
-    xs = rng.normal(size=(b, k)) * scale
-    ys = coef * (xs + 0.5 * scale * rng.normal(size=(b, k)))
+    xs = rng.normal(size=(b, k, p)) * scale
+    ys = coef * (xs.sum(axis=2) + 0.5 * scale[..., 0] * rng.normal(size=(b, k)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        sols = _lstsq_stack(xs[..., None], ys)[:, 0]
-        refs = np.array([np.linalg.lstsq(x[:, None], y, rcond=_LSTSQ_RCOND)[0][0] for x, y in zip(xs, ys)])
-    assert np.isfinite(refs).all()
-    rel = np.abs(sols - refs) / np.abs(refs)
+        sols, ok = _lstsq_stack(xs, ys)
+        refs = np.array([np.linalg.lstsq(x, y, rcond=_LSTSQ_RCOND)[0] for x, y in zip(xs, ys)])
+    assert ok.all() and np.isfinite(refs).all()
+    rel = np.linalg.norm(sols - refs, axis=1) / np.linalg.norm(refs, axis=1)
     assert rel.max() <= 1e-10, rel.max()
+
+
+def test_one_parent_closed_form_matches_lstsq_over_300_decades():
+    # The p = 1 least squares is <x, y> / <x, x>, not LAPACK's QR, so it is
+    # compared by value.
+    _check_lstsq_over_300_decades(p=1, b=20000, seed=46)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_multi_parent_least_squares_matches_lstsq_over_300_decades(p):
+    # The batches beyond [2^-500, 2^500] are scaled by powers of two before
+    # their QR; the others are factored as they are.
+    _check_lstsq_over_300_decades(p=p, b=4000, seed=46 + p)
 
 
 class TestCauchyEstTree:
@@ -593,6 +622,32 @@ class TestMadVariance:
             mad_variance([])
 
 
+class TestMedian:
+    """The private median is np.median(a, axis=0) bit for bit."""
+
+    @staticmethod
+    def _inputs(kind, rng, n, p):
+        shape = (n,) if p == 0 else (n, p)
+        if kind == "random":
+            return rng.normal(size=shape)
+        if kind == "signed_zeros":
+            return rng.choice([-0.0, 0.0], size=shape)
+        if kind == "ties":
+            return rng.choice([-1.0, -0.0, 0.0, 1.0, 2.0], size=shape)
+        return rng.choice([-np.inf, np.inf, np.nan, -np.nan, 1.0, -0.0, 0.0], size=shape)
+
+    @pytest.mark.parametrize("kind", ["random", "signed_zeros", "ties", "non_finite"])
+    def test_matches_np_median_bitwise(self, kind):
+        rng = np.random.default_rng(47)
+        for n in range(1, 42):  # odd and even lengths
+            for p in (0, 1, 3):
+                a = self._inputs(kind, rng, n, p)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # inf - inf in a central pair warns in both
+                    ref, got = np.median(a, axis=0), _median(a)
+                assert np.array_equal(_bits(np.asarray(ref)), _bits(np.asarray(got))), (kind, n, p, a)
+
+
 @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=12), st.randoms(use_true_random=False))
 @settings(max_examples=80, deadline=None)
 def test_median_aggregation_matches_order_statistics_and_ignores_batch_order(values, pyrandom):
@@ -774,10 +829,16 @@ class TestFit:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(estimators, kernel, counting)
-        fit_detailed(dag, data, FitConfig(method=method, batch_extra=5))
+        config = FitConfig(method=method, batch_extra=5)
+        fit_detailed(dag, data, config)
         with_parents = sum(1 for pa in dag.parents if pa)
         assert with_parents > 0
         assert len(calls) == with_parents
+        # Three sizes in one pass: a batch kernel still runs once per node
+        # with parents; least squares runs once per node and size.
+        calls.clear()
+        fit_prefixes(dag, data, config, (100, 250, 400))
+        assert len(calls) == with_parents * (3 if method == "least_squares" else 1)
 
     def test_too_few_rows_overall(self):
         dag = build_dag(1, [])
@@ -822,6 +883,143 @@ class TestFit:
         dag = build_dag(2, [(0, 1)])
         with pytest.raises(InvalidParameter, match=r"expected \(m, 2\) samples, got shape \(10, 3\)"):
             fit(dag, np.ones((10, 3)), FitConfig(method="least_squares"))
+
+
+def _bitwise_equal(a, b):
+    return a.shape == b.shape and np.array_equal(_bits(a), _bits(b))
+
+
+def _same_outcome(got, ref):
+    """A fit_prefixes entry against a fit_detailed result or error, bit for bit."""
+    if isinstance(ref, Exception):
+        return type(got) is type(ref) and str(got) == str(ref)
+    return (
+        isinstance(got, FitOutcome)
+        and got.degenerate_nodes == ref.degenerate_nodes
+        and _bitwise_equal(got.model.variances, ref.model.variances)
+        and all(_bitwise_equal(a, b) for a, b in zip(got.model.coeffs, ref.model.coeffs))
+    )
+
+
+def _per_size(dag, data, config, sizes):
+    """fit_detailed at each size in turn, a NumericalError kept in its size's place."""
+    out = []
+    for m in sizes:
+        try:
+            out.append(fit_detailed(dag, data[:m], config))
+        except NumericalError as exc:
+            out.append(exc)
+    return out
+
+
+def _run(fn, *args):
+    try:
+        return fn(*args)
+    except GbnError as exc:
+        return exc
+
+
+def _assert_prefixes_match(dag, data, config, sizes):
+    got, ref = _run(fit_prefixes, dag, data, config, sizes), _run(_per_size, dag, data, config, sizes)
+    if isinstance(ref, GbnError):
+        assert type(got) is type(ref) and str(got) == str(ref)
+        return got
+    assert len(got) == len(ref) and all(_same_outcome(g, r) for g, r in zip(got, ref))
+    return got
+
+
+class TestFitPrefixes:
+    """One pass over nested sizes equals fit_detailed at each size, bit for bit."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        method=st.sampled_from(COEFFICIENT_METHODS),
+        variance_method=st.sampled_from(VARIANCE_METHODS),
+        batch_extra=st.integers(1, 4),
+        sizes=st.lists(st.integers(2, 160), min_size=1, max_size=4, unique=True).map(sorted),
+        damage=st.sampled_from(["none", "collinear_head", "zero_head"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_fit_detailed_per_size(self, seed, method, variance_method, batch_extra, sizes, damage):
+        rng = np.random.default_rng(seed)
+        dag = random_er_dag(8, 3.0, rng)
+        data = sample(random_gbn(dag, (1.0, 2.0), UnitVariances(), rng), sizes[-1], rng)
+        head = int(rng.integers(1, sizes[-1] // 2 + 2))
+        if damage == "collinear_head":  # rank-deficient and singular batches in a prefix
+            data[:head, 1] = 2.0 * data[:head, 0]
+        elif damage == "zero_head":
+            data[:head, :3] = 0.0
+        config = FitConfig(method=method, batch_extra=batch_extra, variance_method=variance_method)
+        _assert_prefixes_match(dag, data, config, tuple(sizes))
+
+    def _two_parent_data(self, n_rows, seed=61):
+        dag = build_dag(3, [(0, 2), (1, 2)])
+        rng = np.random.default_rng(seed)
+        data = rng.normal(size=(n_rows, 3))
+        data[:, 2] += data[:, 0] - 2.0 * data[:, 1]
+        return dag, data
+
+    @pytest.mark.parametrize("method", ["batch_avg", "batch_med"])
+    def test_rank_deficient_small_prefix_and_scored_large_prefix(self, method):
+        # Batches of 5 rows: batch 0 all zero, batch 1 collinear. The
+        # 10-row prefix (m = 20) has no full-rank batch; m = 60 uses batches 2-5.
+        dag, data = self._two_parent_data(60)
+        data[:5, :2] = 0.0
+        data[5:10, 1] = 3.0 * data[5:10, 0]
+        got = _assert_prefixes_match(dag, data, FitConfig(method=method, batch_extra=3), (20, 60))
+        assert isinstance(got[0], RankDeficient)
+        assert str(got[0]) == f"node 2: method {method}: all 2 batches were rank deficient"
+        assert isinstance(got[1], FitOutcome)
+
+    def test_cholesky_fails_at_one_prefix_only(self):
+        # Parent 1 is zero in the first 10 rows: that prefix's second-moment
+        # matrix is singular, the 100-row one is not.
+        dag, data = self._two_parent_data(200)
+        data[:10, 1] = 0.0
+        got = _assert_prefixes_match(dag, data, FitConfig(method="cauchy_est"), (20, 50, 200))
+        assert isinstance(got[0], CholeskyFailed)
+        assert str(got[0]).startswith("node 2: method cauchy_est: empirical parent covariance is not positive")
+        assert all(isinstance(g, FitOutcome) for g in got[1:])
+
+    def test_insufficient_samples_at_the_smallest_size_is_raised(self):
+        # Not a NumericalError: the call fails as a loop of fit_detailed
+        # calls fails at its first size.
+        dag, data = self._two_parent_data(400)
+        config = FitConfig(method="batch_med", batch_extra=20)
+        with pytest.raises(InsufficientSamples, match="^node 2: method batch_med: needs at least 22 rows, got 10$"):
+            fit_prefixes(dag, data, config, (20, 400))
+        _assert_prefixes_match(dag, data, config, (20, 400))
+
+    def test_numerical_error_masks_a_later_nodes_insufficient_samples(self):
+        # m = 12 has 6 coefficient rows: node 2 (batches of 5) meets one
+        # collinear batch first, so node 5 (batches of 7, too few rows) is
+        # never fitted at that size, exactly as fit_detailed stops.
+        dag = build_dag(6, [(0, 2), (1, 2), (0, 5), (1, 5), (3, 5), (4, 5)])
+        data = np.random.default_rng(62).normal(size=(100, 6))
+        data[:5, 1] = 2.0 * data[:5, 0]
+        config = FitConfig(method="batch_avg", batch_extra=3)
+        with pytest.raises(RankDeficient, match="^node 2: method batch_avg: all 1 batches were rank deficient$"):
+            fit_detailed(dag, data[:12], config)
+        got = _assert_prefixes_match(dag, data, config, (12, 100))
+        assert isinstance(got[0], RankDeficient) and isinstance(got[1], FitOutcome)
+        with pytest.raises(InsufficientSamples, match="^node 5: method batch_avg: needs at least 7 rows, got 6$"):
+            fit_prefixes(dag, data[5:], config, (12, 95))
+
+    def test_non_finite_row_fails_only_the_sizes_that_hold_it(self):
+        # The first size raises nothing of its own, so the error is the
+        # second size's, as in a loop of fit_detailed calls.
+        dag, data = self._two_parent_data(100)
+        data[70, 0] = np.nan
+        config = FitConfig(method="cauchy_est_tree")
+        with pytest.raises(InvalidParameter, match="^samples contain NaN or infinite values$"):
+            fit_prefixes(dag, data, config, (50, 100))
+        _assert_prefixes_match(dag, data, config, (40, 70))
+
+    @pytest.mark.parametrize("sizes", [(), (10, 10), (20, 10), (-1, 10), (10, 101)])
+    def test_sizes_must_increase_within_the_rows(self, sizes):
+        dag, data = self._two_parent_data(100)
+        with pytest.raises(InvalidParameter, match="sizes must be strictly increasing within"):
+            fit_prefixes(dag, data, FitConfig(method="least_squares"), sizes)
 
 
 class TestErrorBudgetRegime:
