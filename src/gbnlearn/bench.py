@@ -205,48 +205,32 @@ def generate_rep_data(config: ExperimentConfig, rep: int) -> RepData:
     return RepData(truth=truth, fit_dag=fit_dag, data=data, seed=seed, rep=rep)
 
 
-def _fits(rd: RepData, mspec: MethodSpec, sizes) -> list:
-    # One estimate per size, None where the fit raised a NumericalError.
-    if mspec.config.method == "empirical_mle":
-        return [estimators.empirical_mle(rd.data[:m]) for m in sizes]
-    fits = estimators.fit_prefixes(rd.fit_dag, rd.data, mspec.config, sizes)
-    return [None if isinstance(f, NumericalError) else f for f in fits]
-
-
-def _method_rows(config: ExperimentConfig, rd: RepData, mspec: MethodSpec, truth_cov, parent_covs) -> list[ResultRow]:
+def _method_rows(config: ExperimentConfig, rd: RepData, mspec: MethodSpec, parent_covs) -> list[ResultRow]:
     """The :class:`ResultRow` of one method at every sample size, on the prefixes of ``rd``.
 
     One :func:`gbnlearn.estimators.fit_prefixes` call fits every size,
     solving each coefficient batch once. With ``record_timing`` on, each
     size is fitted by its own call instead, so that ``fit_wall_ms`` times
     one fit at m alone, not the scoring; the rows are the same either way
-    except for that column, which is 0 with timing off. ``truth_cov``
-    (the truth's joint covariance, or None when no method is
-    ``empirical_mle``) and ``parent_covs`` (its parent blocks) are
-    computed once per repetition. A NumericalError from the fit or the
-    scoring, or a floored variance, leaves ``kl_total`` None, and that is
-    what marks the row degenerate.
+    except for that column, which is 0 with timing off. ``parent_covs``,
+    the truth's parent covariance blocks, is computed once per repetition.
+    A size's NumericalError or floored variance marks its row degenerate.
     """
     sizes = config.sample_sizes
     if config.record_timing:
         fits, wall_ms = [], []
         for m in sizes:
             t0 = time.perf_counter()
-            fits += _fits(rd, mspec, (m,))
+            fits += estimators.fit_prefixes(rd.fit_dag, rd.data, mspec.config, (m,))
             wall_ms.append((time.perf_counter() - t0) * 1000.0)
     else:
-        fits, wall_ms = _fits(rd, mspec, sizes), [0.0] * len(sizes)
+        fits, wall_ms = estimators.fit_prefixes(rd.fit_dag, rd.data, mspec.config, sizes), [0.0] * len(sizes)
     g = config.graph
     rows = []
-    for m, estimate, fit_wall_ms in zip(sizes, fits, wall_ms):
+    for m, fitted, fit_wall_ms in zip(sizes, fits, wall_ms):
         kl_total = None
-        try:
-            if mspec.config.method == "empirical_mle":
-                kl_total = gbn.gaussian_kl(truth_cov, estimate)
-            elif estimate is not None and not estimate.degenerate_nodes:
-                kl_total = gbn.kl_divergence(rd.truth, estimate.model, parent_covs=parent_covs).kl_total
-        except NumericalError:
-            pass
+        if not isinstance(fitted, NumericalError) and not fitted.degenerate_nodes:
+            kl_total = gbn.kl_divergence(rd.truth, fitted.model, parent_covs=parent_covs).kl_total
         rows.append(
             ResultRow(
                 method=mspec.label,
@@ -269,16 +253,12 @@ def _method_rows(config: ExperimentConfig, rd: RepData, mspec: MethodSpec, truth
 def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     """Full sweep; rows come back sorted by (method, m, rep)."""
     validate_config(config)
-    keep_joint = any(ms.config.method == "empirical_mle" for ms in config.methods)
     rows: list[ResultRow] = []
     for rep in range(config.repetitions):
         rd = generate_rep_data(config, rep)
-        truth_cov = gbn.covariance(rd.truth)
-        parent_covs = gbn.parent_covariances(rd.truth.dag, truth_cov)
-        if not keep_joint:
-            truth_cov = None  # only the blocks stay alive through the cells
+        parent_covs = gbn.parent_covariances(rd.truth.dag, gbn.covariance(rd.truth))
         for mspec in config.methods:
-            rows.extend(_method_rows(config, rd, mspec, truth_cov, parent_covs))
+            rows.extend(_method_rows(config, rd, mspec, parent_covs))
     rows.sort(key=lambda r: (r.method, r.m, r.rep))
     return rows
 
@@ -454,7 +434,7 @@ def _default_label(cfg: estimators.FitConfig) -> str:
     label = cfg.method
     if cfg.method in estimators.BATCH_METHODS:
         label += f"_x{cfg.batch_extra}"
-    if cfg.method != "empirical_mle" and cfg.variance_method != "empirical":
+    if cfg.variance_method != "empirical":
         label += f"_{cfg.variance_method}"
     return label
 

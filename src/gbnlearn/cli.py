@@ -52,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
     f = sub.add_parser("fit", help="estimate a model from samples")
     f.add_argument("--dag", required=True, help="DAG file")
     f.add_argument("--samples", required=True, help="samples CSV")
-    f.add_argument("--method", choices=estimators.COEFFICIENT_METHODS, required=True)
+    f.add_argument("--method", choices=estimators.METHODS, required=True)
     # Defaults are FitConfig's own.
     f.add_argument("--batch-extra", type=int, default=estimators.FitConfig.batch_extra)
     f.add_argument(

@@ -64,8 +64,7 @@ _METHOD_TABLE = {
     "cauchy_est": lambda x, y, extra, rows: cauchy_est_node(x, y, rows),
     "cauchy_est_tree": lambda x, y, extra, rows: cauchy_est_tree_node(x, y, rows),
 }
-COEFFICIENT_METHODS = tuple(_METHOD_TABLE)
-METHODS = COEFFICIENT_METHODS + ("empirical_mle",)
+METHODS = tuple(_METHOD_TABLE)
 VARIANCE_METHODS = ("empirical", "mad")
 
 # Consistency factor relating the median absolute deviation to the
@@ -297,7 +296,8 @@ def batch_least_squares(
         kept = sols[:b][ok[:b]]
         if not len(kept):
             raise RankDeficient(f"all {b} batches were rank deficient")
-        return kept.mean(axis=0) if aggregator == "mean" else _median(kept)
+        with np.errstate(invalid="ignore"):  # -inf and +inf average to nan; fit reports it
+            return kept.mean(axis=0) if aggregator == "mean" else _median(kept)
 
     return _each_prefix(estimate, m, rows)
 
@@ -374,7 +374,8 @@ def cauchy_est_tree_node(parent_block: np.ndarray, target: np.ndarray, rows=None
     def estimate(r):
         if r < p:
             raise InsufficientSamples(f"needs at least {p} rows, got {r}")
-        return _median(sols[: r // p])
+        with np.errstate(invalid="ignore"):  # as in batch_least_squares
+            return _median(sols[: r // p])
 
     return _each_prefix(estimate, m, rows)
 
@@ -406,8 +407,9 @@ def cauchy_est_node(parent_block: np.ndarray, target: np.ndarray, rows=None) -> 
             ell = np.linalg.cholesky(u.T @ u / r)
         except np.linalg.LinAlgError as exc:
             raise CholeskyFailed(f"empirical parent covariance is not positive definite: {exc}") from exc
-        whitened_median = _median(sols[: r // p] @ ell)
-        return scipy.linalg.solve_triangular(ell.T, whitened_median, lower=False)
+        with np.errstate(invalid="ignore"):  # an inf solution times a zero of L is nan; fit reports it
+            whitened_median = _median(sols[: r // p] @ ell)
+        return scipy.linalg.solve_triangular(ell.T, whitened_median, lower=False, check_finite=False)
 
     return _each_prefix(estimate, m, rows)
 
@@ -485,11 +487,6 @@ def fit_prefixes(dag: Dag, data: np.ndarray, config: FitConfig, sizes=None) -> l
     batch once and aggregate a prefix of the solutions per size, and
     least squares solves per size. A size stops at its first failed node.
     """
-    if config.method == "empirical_mle":
-        raise ConfigInvalid(
-            "empirical_mle is not a per-node coefficient method; call empirical_mle() "
-            "and score it with gaussian_kl"
-        )
     x = np.asarray(data, dtype=float)
     if x.ndim != 2 or x.shape[1] != dag.n:
         raise InvalidParameter(f"expected (m, {dag.n}) samples, got shape {x.shape}")
@@ -525,6 +522,8 @@ def fit_prefixes(dag: Dag, data: np.ndarray, config: FitConfig, sizes=None) -> l
             if isinstance(est, GbnError):
                 errors[j] = type(est)(f"node {i}: method {config.method}: {est}")
                 errors[j].__cause__ = est
+            elif not np.isfinite(est).all():
+                errors[j] = NumericalError(f"node {i}: method {config.method}: coefficient estimate is not finite")
             else:
                 coeffs[j].append(est)
     out: list = []
@@ -566,8 +565,9 @@ def fit_detailed(dag: Dag, data: np.ndarray, config: FitConfig) -> FitOutcome:
     is replaced by ``DEGENERATE_VARIANCE`` and the node is reported in
     ``degenerate_nodes`` so callers can exclude the fit from scoring.
     Samples holding NaN or +-inf are rejected with InvalidParameter before
-    any solve; a kernel error keeps its class and gains ``node i: method M:``.
-    This is :func:`fit_prefixes` with the one size ``m``.
+    any solve; a kernel error keeps its class and gains ``node i: method M:``,
+    as does the NumericalError of a non-finite coefficient estimate. This
+    is :func:`fit_prefixes` with the one size ``m``.
     """
     (outcome,) = fit_prefixes(dag, data, config)
     if isinstance(outcome, NumericalError):

@@ -30,8 +30,8 @@ from gbnlearn.bench import (
     summarize,
     validate_config,
 )
-from gbnlearn.dag import random_er_dag
-from gbnlearn.errors import ConfigInvalid, InvalidParameter, NotPositiveDefinite, NumericalError, RankDeficient
+from gbnlearn.dag import build_dag, random_er_dag
+from gbnlearn.errors import ConfigInvalid, InvalidParameter, NumericalError, RankDeficient
 from gbnlearn.estimators import FitConfig
 
 
@@ -137,6 +137,12 @@ MALFORMED = [
         {"methods": [{"method": "least_squares", "split_fraction": 0.5}]},
         "methods[]: unknown keys ['split_fraction']",
         id="split_fraction_removed",
+    ),
+    pytest.param(
+        {"methods": [{"method": "empirical_mle"}]},
+        "unknown method 'empirical_mle'; expected one of "
+        "('least_squares', 'batch_avg', 'batch_med', 'cauchy_est', 'cauchy_est_tree')",
+        id="methods_empirical_mle",
     ),
 ]
 
@@ -437,14 +443,14 @@ class TestRunExperiment:
         # With timing on, each size is fitted by its own call; off, one call
         # fits every size. The rows must agree in every other column.
         methods = tuple(
-            MethodSpec(cfg.method, cfg)
+            MethodSpec(f"{cfg.method}_{cfg.variance_method}", cfg)
             for cfg in (
                 FitConfig(method="least_squares"),
                 FitConfig(method="batch_avg", batch_extra=3),
                 FitConfig(method="batch_med", batch_extra=3, variance_method="mad"),
                 FitConfig(method="cauchy_est_tree"),
                 FitConfig(method="cauchy_est", variance_method="mad"),
-                FitConfig(method="empirical_mle"),
+                FitConfig(method="least_squares", variance_method="mad"),
             )
         )
         cfg = _tiny_config(graph=GraphSpec("er", 12, 3.0), methods=methods, sample_sizes=(16, 60, 150), repetitions=2)
@@ -462,11 +468,10 @@ class TestRunExperiment:
             return scored
 
         monkeypatch.setattr(gbn, "kl_divergence", slow(gbn.kl_divergence))
-        monkeypatch.setattr(gbn, "gaussian_kl", slow(gbn.gaussian_kl))
         cfg = _tiny_config(
             methods=(
                 MethodSpec("ls", FitConfig(method="least_squares")),
-                MethodSpec("mle", FitConfig(method="empirical_mle")),
+                MethodSpec("ct", FitConfig(method="cauchy_est_tree")),
             ),
             repetitions=1,
             record_timing=True,
@@ -491,7 +496,7 @@ class TestRunExperiment:
         cfg = _tiny_config(
             graph=GraphSpec("er", 30, 3.0),
             methods=(
-                MethodSpec("mle", FitConfig(method="empirical_mle")),
+                MethodSpec("ba", FitConfig(method="batch_avg", batch_extra=5)),
                 MethodSpec("ls", FitConfig(method="least_squares")),
             ),
             sample_sizes=(200, 400, 800),
@@ -500,14 +505,6 @@ class TestRunExperiment:
         rows = run_experiment(cfg)
         assert len(rows) == 2 * 3 * 2 and not any(r.degenerate for r in rows)
         assert calls == [30, 30]
-
-    def test_empirical_mle_rows(self):
-        cfg = _tiny_config(
-            methods=(MethodSpec("mle", FitConfig(method="empirical_mle")),),
-            sample_sizes=(2000,),
-        )
-        rows = run_experiment(cfg)
-        assert all(0.0 < r.kl_total < 0.5 for r in rows)
 
 
 class TestScenarios:
@@ -537,8 +534,9 @@ class TestScenarios:
     def test_ill_conditioned_truth_scores_only_cauchy(self, monkeypatch):
         # At sigma2 = 1e-20 an ill node is its parents' linear combination to
         # working precision: every least-squares design and batch that holds
-        # one is rank deficient, and the truth covariance has no Cholesky
-        # factor. Both NumericalErrors leave the row degenerate.
+        # one is rank deficient, and the RankDeficient that fit_prefixes
+        # returns leaves the row degenerate. The square Cauchy batches still
+        # solve, so those rows are scored.
         raised = []
 
         def recording(fn):
@@ -555,14 +553,12 @@ class TestScenarios:
             return wrapped
 
         monkeypatch.setattr(estimators, "fit_prefixes", recording(estimators.fit_prefixes))
-        monkeypatch.setattr(gbn, "gaussian_kl", recording(gbn.gaussian_kl))
         rng = np.random.default_rng(0)
         dag = random_er_dag(30, 3.0, rng)
         ill = tuple(int(v) for v in np.sort(rng.choice(30, size=5, replace=False)))
         truth = gbn.random_gbn(dag, (1.0, 2.0), gbn.IllConditionedVariances(ill, 1e-20), rng)
         rd = RepData(truth=truth, fit_dag=dag, data=gbn.sample(truth, 400, rng), seed=0, rep=0)
-        truth_cov = gbn.covariance(truth)
-        parent_covs = gbn.parent_covariances(dag, truth_cov)
+        parent_covs = gbn.parent_covariances(dag, gbn.covariance(truth))
         methods = [
             MethodSpec(cfg.method, cfg)
             for cfg in (
@@ -571,12 +567,11 @@ class TestScenarios:
                 FitConfig(method="batch_med"),
                 FitConfig(method="cauchy_est_tree"),
                 FitConfig(method="cauchy_est"),
-                FitConfig(method="empirical_mle"),
             )
         ]
         config = ExperimentConfig(GraphSpec("er", 30, 3.0), tuple(methods), (400,), 1, 0)
         degenerate = {
-            ms.label: _method_rows(config, rd, ms, truth_cov, parent_covs)[0].degenerate for ms in methods
+            ms.label: _method_rows(config, rd, ms, parent_covs)[0].degenerate for ms in methods
         }
         assert degenerate == {
             "least_squares": True,
@@ -584,9 +579,24 @@ class TestScenarios:
             "batch_med": True,
             "cauchy_est_tree": False,
             "cauchy_est": False,
-            "empirical_mle": True,
         }
-        assert RankDeficient in raised and NotPositiveDefinite in raised
+        assert RankDeficient in raised
+
+    def test_overflowing_coefficient_row_is_degenerate(self):
+        # Node 0 near 1e-200 and node 1 near 1e200: every method's
+        # coefficient estimate overflows, which marks its row degenerate
+        # and leaves the sweep running.
+        dag = build_dag(2, [(0, 1)])
+        truth = gbn.GaussianBayesNet(dag, (np.zeros(0), np.array([1.0])), np.ones(2))
+        rng = np.random.default_rng(0)
+        data = np.column_stack([1e-200 * rng.normal(size=200), 1e200 * rng.normal(size=200)])
+        rd = RepData(truth=truth, fit_dag=dag, data=data, seed=0, rep=0)
+        parent_covs = gbn.parent_covariances(dag, gbn.covariance(truth))
+        methods = tuple(MethodSpec(method, FitConfig(method=method, batch_extra=3)) for method in estimators.METHODS)
+        config = ExperimentConfig(GraphSpec("tree", 2), methods, (100, 200), 1, 0)
+        rows = [row for ms in methods for row in _method_rows(config, rd, ms, parent_covs)]
+        assert len(rows) == 2 * len(methods)
+        assert all(row.degenerate and row.kl_total is None and row.tv_upper is None for row in rows)
 
     def test_agnostic_fit_dag_is_thinner_and_kl_floors(self):
         cfg = ExperimentConfig(

@@ -212,10 +212,11 @@ class TestFitAndEval:
         assert code == EXIT_NUMERIC
 
     @pytest.mark.parametrize(
-        "method, line",
+        "method, damage, line",
         [
             pytest.param(
                 "least_squares",
+                "collinear",
                 re.escape(
                     "numerical failure: node 3: method least_squares: "
                     f"design matrix has relative singular value <= {estimators._LSTSQ_RCOND}"
@@ -224,19 +225,29 @@ class TestFitAndEval:
             ),
             pytest.param(
                 "cauchy_est",
+                "collinear",
                 re.escape("numerical failure: node 3: method cauchy_est: empirical parent covariance is not positive definite")
                 + ".*",
                 id="cauchy_est",
             ),
+            pytest.param(
+                "cauchy_est",
+                "overflow",
+                re.escape("numerical failure: node 3: method cauchy_est: coefficient estimate is not finite"),
+                id="cauchy_est_overflowing_coefficient",
+            ),
         ],
     )
-    def test_numerical_failure_names_node_and_method(self, tmp_path, capsys, method, line):
-        # Node 3's parents 0 and 1 are collinear (column 1 = 2 x column 0).
+    def test_numerical_failure_names_node_and_method(self, tmp_path, capsys, method, damage, line):
         dag_path = tmp_path / "dag.txt"
         dag_path.write_text("4\n0 3\n1 3\n2 3\n")
         samples_path = tmp_path / "samples.csv"
         data = np.random.default_rng(0).normal(size=(200, 4))
-        data[:, 1] = 2.0 * data[:, 0]
+        if damage == "collinear":  # node 3's parents 0 and 1: column 1 = 2 x column 0
+            data[:, 1] = 2.0 * data[:, 0]
+        else:  # parents near 1e-200 and node 3 near 1e200: its coefficients overflow
+            data[:, :3] *= 1e-200
+            data[:, 3] *= 1e200
         gbn.save_samples(data, samples_path)
         est_path = tmp_path / "est.txt"
         code = cli(["fit", "--dag", str(dag_path), "--samples", str(samples_path), "--method", method, "--out", str(est_path)])

@@ -21,9 +21,9 @@ from gbnlearn.errors import (
 )
 from gbnlearn.estimators import (
     _LSTSQ_RCOND,
-    COEFFICIENT_METHODS,
     DEGENERATE_VARIANCE,
     MAD_SCALE,
+    METHODS,
     VARIANCE_METHODS,
     FitConfig,
     FitOutcome,
@@ -726,7 +726,7 @@ class TestFit:
             fit(dag, np.ones((1, 2)), FitConfig(method="least_squares"))
 
     @pytest.mark.parametrize("variance_method", VARIANCE_METHODS)
-    @pytest.mark.parametrize("method", COEFFICIENT_METHODS)
+    @pytest.mark.parametrize("method", METHODS)
     def test_overflowing_variance_is_flagged_without_warnings(self, method, variance_method):
         # Every residual near 1e200 squares past the float range: each
         # estimate is inf, so each node is degenerate and none warns.
@@ -738,6 +738,22 @@ class TestFit:
             outcome = fit_detailed(dag, data, config)
         assert outcome.degenerate_nodes == (0, 1, 2)
         assert (outcome.model.variances == DEGENERATE_VARIANCE).all()
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_overflowing_coefficient_is_a_numerical_error_without_warnings(self, method, p):
+        # Parents near 1e-200 and a child near 1e200: every coefficient
+        # estimate lies beyond the float range. At this seed and p = 1, the
+        # central pair of cauchy_est_tree's 100 batch solutions is -inf, +inf.
+        rng = np.random.default_rng(5)
+        data = np.column_stack([1e-200 * rng.normal(size=(200, p)), 1e200 * rng.normal(size=200)])
+        dag = build_dag(p + 1, [(j, p) for j in range(p)])
+        message = f"^node {p}: method {method}: coefficient estimate is not finite$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=message) as info:
+                fit_detailed(dag, data, FitConfig(method=method, batch_extra=3))
+        assert type(info.value) is NumericalError
 
     def test_noiseless_recovery_through_full_pipeline(self):
         rng = np.random.default_rng(12)
@@ -769,9 +785,9 @@ class TestFit:
         assert outcome.model.variances[0] > DEGENERATE_VARIANCE
 
     def test_empirical_mle_not_a_fit_method(self):
-        dag = build_dag(1, [])
-        with pytest.raises(ConfigInvalid):
-            fit(dag, np.ones((10, 1)), FitConfig(method="empirical_mle"))
+        # empirical_mle uses no DAG, so it is no FitConfig method at all.
+        with pytest.raises(ConfigInvalid, match=r"^unknown method 'empirical_mle'; expected one of \("):
+            FitConfig(method="empirical_mle")
 
     def test_insufficient_samples_names_the_node(self):
         dag = build_dag(3, [(0, 2), (1, 2)])
@@ -851,7 +867,7 @@ class TestFit:
         with pytest.raises(InvalidParameter, match="samples contain NaN or infinite values"):
             fit(dag, data, FitConfig(method="least_squares"))
 
-    @pytest.mark.parametrize("method", COEFFICIENT_METHODS)
+    @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize("value", [np.inf, -np.inf])
     def test_infinite_sample_rejected(self, method, value):
         # One infinite parent value in the coefficient rows: rejected before
@@ -862,7 +878,7 @@ class TestFit:
         with pytest.raises(InvalidParameter, match="^samples contain NaN or infinite"):
             fit(dag, data, FitConfig(method=method, batch_extra=5))
 
-    @pytest.mark.parametrize("method", COEFFICIENT_METHODS)
+    @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize("variance_method", ["empirical", "mad"])
     def test_column_and_row_major_samples_fit_identically(self, method, variance_method):
         # sample() returns column-major data and load_samples() row-major
@@ -933,7 +949,7 @@ class TestFitPrefixes:
 
     @given(
         seed=st.integers(0, 2**32 - 1),
-        method=st.sampled_from(COEFFICIENT_METHODS),
+        method=st.sampled_from(METHODS),
         variance_method=st.sampled_from(VARIANCE_METHODS),
         batch_extra=st.integers(1, 4),
         sizes=st.lists(st.integers(2, 160), min_size=1, max_size=4, unique=True).map(sorted),
@@ -1014,6 +1030,36 @@ class TestFitPrefixes:
         with pytest.raises(InvalidParameter, match="^samples contain NaN or infinite values$"):
             fit_prefixes(dag, data, config, (50, 100))
         _assert_prefixes_match(dag, data, config, (40, 70))
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_overflowing_coefficient_fails_only_the_sizes_that_overflow(self, method):
+        # The first 20 rows hold parents near 1e-200 and a child near
+        # 1e200; the 10 coefficient rows of m = 20 hold nothing else. At
+        # m = 200 their batches' infinite solutions still sink the mean and
+        # cauchy_est (inf times a zero of L is nan, and a median keeps a
+        # nan); the other medians and the least-squares solve stay finite.
+        dag, data = self._two_parent_data(200)
+        data[:20, :2] *= 1e-200
+        data[:20, 2] *= 1e200
+        got = _assert_prefixes_match(dag, data, FitConfig(method=method, batch_extra=3), (20, 200))
+        assert type(got[0]) is NumericalError
+        assert str(got[0]) == f"node 2: method {method}: coefficient estimate is not finite"
+        assert isinstance(got[1], NumericalError if method in ("batch_avg", "cauchy_est") else FitOutcome)
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            lambda x, y, rows: batch_least_squares(x, y, 4, "mean", rows),
+            cauchy_est_tree_node,
+            cauchy_est_node,
+        ],
+        ids=["batch_least_squares", "cauchy_est_tree_node", "cauchy_est_node"],
+    )
+    @pytest.mark.parametrize("rows", [[-1], [41]], ids=["below_zero", "above_m"])
+    def test_kernels_refuse_prefix_counts_outside_the_rows(self, kernel, rows):
+        x, y = _block_with(1.0, "parents")
+        with pytest.raises(InvalidParameter, match=r"^prefix row counts must lie in \[0, 40\], got "):
+            kernel(x, y, rows=rows)
 
     @pytest.mark.parametrize("sizes", [(), (10, 10), (20, 10), (-1, 10), (10, 101)])
     def test_sizes_must_increase_within_the_rows(self, sizes):
