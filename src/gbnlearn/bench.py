@@ -4,9 +4,10 @@ A run sweeps one graph family x scenario across a list of estimators and
 sample sizes with seeded repetitions. Per repetition, the graph, the
 true model, and one dataset at the largest sample size are generated
 once; smaller sample sizes reuse that dataset's prefix rows, so curves
-across m share randomness within a repetition. Each method fits every
-sample size of a repetition in one pass, which solves each coefficient
-batch once (:func:`gbnlearn.estimators.fit_prefixes`). Output is plain
+across m share randomness within a repetition. Every method fits every
+sample size of a repetition in one pass over the nodes, which solves each
+coefficient batch once, and each node's square batches once for both
+Cauchy methods (:func:`gbnlearn.estimators.fit_prefixes`). Output is plain
 CSV: one raw row per (method, m, repetition) in ``results.csv`` and a
 per-(method, m) summary in ``summary.csv``, whose ``median_kl`` column is
 each method's KL curve.
@@ -205,29 +206,32 @@ def generate_rep_data(config: ExperimentConfig, rep: int) -> RepData:
     return RepData(truth=truth, fit_dag=fit_dag, data=data, seed=seed, rep=rep)
 
 
-def _method_rows(config: ExperimentConfig, rd: RepData, mspec: MethodSpec, parent_covs) -> list[ResultRow]:
-    """The :class:`ResultRow` of one method at every sample size, on the prefixes of ``rd``.
+def _method_rows(config: ExperimentConfig, rd: RepData, parent_covs) -> list[ResultRow]:
+    """The :class:`ResultRow` of every method at every sample size, on the prefixes of ``rd``.
 
-    One :func:`gbnlearn.estimators.fit_prefixes` call fits every size,
-    solving each coefficient batch once. With ``record_timing`` on, each
-    size is fitted by its own call instead, so that ``fit_wall_ms`` times
-    one fit at m alone, not the scoring; the rows are the same either way
-    except for that column, which is 0 with timing off. ``parent_covs``,
-    the truth's parent covariance blocks, is computed once per repetition.
-    A size's NumericalError or floored variance marks its row degenerate.
+    One :func:`gbnlearn.estimators.fit_prefixes` call fits every method
+    at every size. With ``record_timing`` on, each (method, size) is
+    fitted by its own call instead, so that ``fit_wall_ms`` times one fit
+    at m alone, not the scoring; the rows are the same either way except
+    for that column, which is 0 with timing off. ``parent_covs``, the
+    truth's parent covariance blocks, is computed once per repetition. A
+    NumericalError or a floored variance marks a row degenerate.
     """
     sizes = config.sample_sizes
+    cells = [(mspec, m) for mspec in config.methods for m in sizes]
     if config.record_timing:
         fits, wall_ms = [], []
-        for m in sizes:
+        for mspec, m in cells:
             t0 = time.perf_counter()
-            fits += estimators.fit_prefixes(rd.fit_dag, rd.data, mspec.config, (m,))
+            ((fitted,),) = estimators.fit_prefixes(rd.fit_dag, rd.data, (mspec.config,), (m,))
             wall_ms.append((time.perf_counter() - t0) * 1000.0)
+            fits.append(fitted)
     else:
-        fits, wall_ms = estimators.fit_prefixes(rd.fit_dag, rd.data, mspec.config, sizes), [0.0] * len(sizes)
+        per_method = estimators.fit_prefixes(rd.fit_dag, rd.data, [ms.config for ms in config.methods], sizes)
+        fits, wall_ms = [fitted for method_fits in per_method for fitted in method_fits], [0.0] * len(cells)
     g = config.graph
     rows = []
-    for m, fitted, fit_wall_ms in zip(sizes, fits, wall_ms):
+    for (mspec, m), fitted, fit_wall_ms in zip(cells, fits, wall_ms):
         kl_total = None
         if not isinstance(fitted, NumericalError) and not fitted.degenerate_nodes:
             kl_total = gbn.kl_divergence(rd.truth, fitted.model, parent_covs=parent_covs).kl_total
@@ -257,8 +261,7 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     for rep in range(config.repetitions):
         rd = generate_rep_data(config, rep)
         parent_covs = gbn.parent_covariances(rd.truth.dag, gbn.covariance(rd.truth))
-        for mspec in config.methods:
-            rows.extend(_method_rows(config, rd, mspec, parent_covs))
+        rows.extend(_method_rows(config, rd, parent_covs))
     rows.sort(key=lambda r: (r.method, r.m, r.rep))
     return rows
 

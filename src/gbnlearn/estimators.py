@@ -23,12 +23,14 @@ the coefficient method and the remaining rows feed variance recovery
 contaminated data). Each kernel checks its own row need;
 ``fit`` names the node and the method on every kernel error.
 
-``fit_prefixes`` fits several nested prefixes of one dataset in one pass,
-bit for bit as ``fit_detailed`` fits each; ``fit_detailed`` is its
-one-size case. The batch methods cut a node's rows into consecutive
-batches from row 0, so a prefix's batches are a prefix of the largest
-size's batches: each batch kernel solves its stack once and aggregates
-the first batches of each size.
+``fit_prefixes`` fits several methods on several nested prefixes of one
+dataset in one pass over the nodes, bit for bit as ``fit_detailed`` fits
+each (method, prefix); ``fit_detailed`` is its one-method, one-size case.
+The batch methods cut a node's rows into consecutive batches from row 0,
+so a prefix's batches are a prefix of the largest size's batches: each
+batch kernel solves its stack once and aggregates the first batches of
+each size. Both Cauchy methods take their medians over the same square
+batches, so a node's square stack is solved once for the two of them.
 """
 
 from __future__ import annotations
@@ -54,17 +56,22 @@ BATCH_METHODS = ("batch_avg", "batch_med")
 
 # Per coefficient method: the kernel that turns a node's parent block x
 # and target y, the coefficient rows of the largest size, into one
-# estimate (or the GbnError it raises) per prefix row count in rows. Each
-# kernel is named inside a lambda, so it is looked up in this module at
-# fit time and a patched module attribute sees every call.
+# estimate (or the GbnError it raises) per prefix row count in rows. The
+# Cauchy kernels also take sols, the node's square-batch solutions, which
+# fit_prefixes solves once for both. Each kernel is named inside a
+# lambda, so it is looked up in this module at fit time and a patched
+# module attribute sees every call.
 _METHOD_TABLE = {
-    "least_squares": lambda x, y, extra, rows: _each_prefix(lambda r: least_squares_node(x[:r], y[:r]), len(x), rows),
-    "batch_avg": lambda x, y, extra, rows: batch_least_squares(x, y, x.shape[1] + extra, "mean", rows),
-    "batch_med": lambda x, y, extra, rows: batch_least_squares(x, y, x.shape[1] + extra, "median", rows),
-    "cauchy_est": lambda x, y, extra, rows: cauchy_est_node(x, y, rows),
-    "cauchy_est_tree": lambda x, y, extra, rows: cauchy_est_tree_node(x, y, rows),
+    "least_squares": lambda x, y, extra, rows, sols: _each_prefix(
+        lambda r: least_squares_node(x[:r], y[:r]), len(x), rows
+    ),
+    "batch_avg": lambda x, y, extra, rows, sols: batch_least_squares(x, y, x.shape[1] + extra, "mean", rows),
+    "batch_med": lambda x, y, extra, rows, sols: batch_least_squares(x, y, x.shape[1] + extra, "median", rows),
+    "cauchy_est": lambda x, y, extra, rows, sols: cauchy_est_node(x, y, rows, sols),
+    "cauchy_est_tree": lambda x, y, extra, rows, sols: cauchy_est_tree_node(x, y, rows, sols),
 }
 METHODS = tuple(_METHOD_TABLE)
+_SQUARE_METHODS = ("cauchy_est", "cauchy_est_tree")
 VARIANCE_METHODS = ("empirical", "mad")
 
 # Consistency factor relating the median absolute deviation to the
@@ -349,16 +356,21 @@ def _batch_solve_stack(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return sols
 
 
-def _square_batches(parent_block, target) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _square_batches(parent_block, target, solutions) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # The shared head of the Cauchy kernels: the checked arrays and the
-    # solutions of all their square batches.
+    # solutions of all their square batches, solved here unless given.
     x, y = _node_arrays(parent_block, target)
-    if x.shape[1] < 1:
+    m, p = x.shape
+    if p < 1:
         raise InvalidParameter("node must have at least one parent")
-    return x, y, _batch_solve_stack(x, y)
+    if solutions is None:
+        return x, y, _batch_solve_stack(x, y)
+    if solutions.ndim != 2 or solutions.shape[1] != p or len(solutions) < m // p:
+        raise InvalidParameter(f"need at least {m // p} solutions of {p} coefficients, got shape {solutions.shape}")
+    return x, y, solutions
 
 
-def cauchy_est_tree_node(parent_block: np.ndarray, target: np.ndarray, rows=None) -> np.ndarray:
+def cauchy_est_tree_node(parent_block: np.ndarray, target: np.ndarray, rows=None, solutions=None) -> np.ndarray:
     """Coordinate-wise median of square-batch solutions.
 
     Rows are split into ``floor(m / p)`` disjoint batches of exactly
@@ -366,9 +378,12 @@ def cauchy_est_tree_node(parent_block: np.ndarray, target: np.ndarray, rows=None
     the per-batch errors are independent scaled Cauchy variables, so the
     median concentrates even with heavy tails and corrupted rows. Input
     holding NaN or +-inf raises InvalidParameter before any solve.
-    ``rows`` works as in :func:`batch_least_squares`.
+    ``rows`` works as in :func:`batch_least_squares`. ``solutions``, if
+    given, replaces the kernel's own solve: the square-batch solutions of
+    these rows or of more rows of the same block, whose first ``r // p``
+    are those of the first ``r`` rows, bit for bit.
     """
-    x, y, sols = _square_batches(parent_block, target)
+    x, y, sols = _square_batches(parent_block, target, solutions)
     m, p = x.shape
 
     def estimate(r):
@@ -380,7 +395,7 @@ def cauchy_est_tree_node(parent_block: np.ndarray, target: np.ndarray, rows=None
     return _each_prefix(estimate, m, rows)
 
 
-def cauchy_est_node(parent_block: np.ndarray, target: np.ndarray, rows=None) -> np.ndarray:
+def cauchy_est_node(parent_block: np.ndarray, target: np.ndarray, rows=None, solutions=None) -> np.ndarray:
     """Median of square-batch solutions in a whitened coordinate system.
 
     The empirical parent second-moment matrix ``Mhat = X^T X / m`` (all
@@ -391,8 +406,9 @@ def cauchy_est_node(parent_block: np.ndarray, target: np.ndarray, rows=None) -> 
     raises CholeskyFailed; it is never silently regularized. Input
     holding NaN or +-inf raises InvalidParameter first. ``rows`` works as
     in :func:`batch_least_squares`; each prefix has its own ``Mhat``.
+    ``solutions`` works as in :func:`cauchy_est_tree_node`.
     """
-    x, y, sols = _square_batches(parent_block, target)
+    x, y, sols = _square_batches(parent_block, target, solutions)
     m, p = x.shape
 
     def estimate(r):
@@ -428,12 +444,15 @@ def empirical_mle(data: np.ndarray) -> np.ndarray:
 
 def _residual_columns(dag: Dag, data: np.ndarray, coeffs) -> np.ndarray:
     out = np.empty_like(data)
-    for i in range(dag.n):
-        pa = dag.parents[i]
-        if pa:
-            out[:, i] = data[:, i] - data[:, pa] @ coeffs[i]
-        else:
-            out[:, i] = data[:, i]
+    # A finite estimate times a large parent value may overflow; the inf
+    # or nan residual then makes the node degenerate in fit.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(dag.n):
+            pa = dag.parents[i]
+            if pa:
+                out[:, i] = data[:, i] - data[:, pa] @ coeffs[i]
+            else:
+                out[:, i] = data[:, i]
     return out
 
 
@@ -450,10 +469,12 @@ def variance_recovery(dag: Dag, data: np.ndarray, coeffs) -> np.ndarray:
     if x.shape[0] < 1:
         raise InsufficientSamples("variance recovery needs at least one row")
     resid = _residual_columns(dag, x, coeffs)
-    # Reduce in row order whatever the sample layout: numpy sums a
-    # contiguous axis pairwise, which would move the last bits.
+    # Reduce in row order whatever the sample layout: the squares go
+    # straight into a row-major buffer, whose mean over axis 0 adds one
+    # row at a time (numpy sums a contiguous axis pairwise, which would
+    # move the last bits).
     with np.errstate(over="ignore"):  # an inf estimate is flagged degenerate by fit_detailed
-        return np.ascontiguousarray(resid**2).mean(axis=0)
+        return np.square(resid, order="C").mean(axis=0)
 
 
 def mad_variance(residuals: np.ndarray) -> float:
@@ -474,18 +495,24 @@ def mad_variance(residuals: np.ndarray) -> float:
 # full-model fitting
 
 
-def fit_prefixes(dag: Dag, data: np.ndarray, config: FitConfig, sizes=None) -> list:
-    """:func:`fit_detailed` on each prefix ``data[:m]``, ``m`` in ``sizes``, in one pass.
+def fit_prefixes(dag: Dag, data: np.ndarray, configs, sizes=None) -> list[list]:
+    """:func:`fit_detailed` of each config on each prefix ``data[:m]``, ``m`` in ``sizes``, in one pass.
 
     ``sizes`` is strictly increasing and at most the row count, which is
-    the default. Entry ``j`` is what ``fit_detailed(dag, data[:sizes[j]],
-    config)`` returns, bit for bit, or the NumericalError it raises; a
-    non-numerical GbnError is raised from the first size that meets one,
-    as a loop of ``fit_detailed`` calls would raise it. Per node, the
-    kernel gets the coefficient rows of the largest size still fitting and
-    the row counts ``m // 2`` of those sizes: the batch methods solve each
-    batch once and aggregate a prefix of the solutions per size, and
-    least squares solves per size. A size stops at its first failed node.
+    the default. Entry ``[c][j]`` is what ``fit_detailed(dag,
+    data[:sizes[j]], configs[c])`` returns, bit for bit, or the
+    NumericalError it raises; a non-numerical GbnError is raised from the
+    first config, and in it the first size, that meets one, as a loop of
+    ``fit_detailed`` calls over the configs and then the sizes would
+    raise it. The pass goes node by node with the configs inside. Per
+    node, the parent block and target are gathered once, on the
+    coefficient rows of the largest size any config still fits, and each
+    config's kernel gets the row counts ``m // 2`` of its own live sizes:
+    the batch methods solve each batch once and aggregate a prefix of the
+    solutions per size, least squares solves per size, and the square
+    batches are solved once for both Cauchy methods. A (config, size)
+    stops at its first failed node. The variance phases run one (config,
+    size) at a time after the pass.
     """
     x = np.asarray(data, dtype=float)
     if x.ndim != 2 or x.shape[1] != dag.n:
@@ -496,44 +523,56 @@ def fit_prefixes(dag: Dag, data: np.ndarray, config: FitConfig, sizes=None) -> l
     # fit_detailed's own checks on each data[:m], before any node.
     finite = np.isfinite(x[: sizes[-1]])
     first_bad = sizes[-1] if finite.all() else int(np.flatnonzero(~finite.all(axis=1))[0])
-    errors: list[GbnError | None] = [None] * len(sizes)
+    refused: list[GbnError | None] = [None] * len(sizes)
     for j, m in enumerate(sizes):
         if m > first_bad:
-            errors[j] = InvalidParameter("samples contain NaN or infinite values")
+            refused[j] = InvalidParameter("samples contain NaN or infinite values")
         elif m < 2:
-            errors[j] = InsufficientSamples(f"needs at least 2 rows, one per phase, got {m}")
-    kernel = _METHOD_TABLE[config.method]
-    coeffs: list[list[np.ndarray]] = [[] for _ in sizes]
+            refused[j] = InsufficientSamples(f"needs at least 2 rows, one per phase, got {m}")
+    errors = [list(refused) for _ in configs]
+    coeffs: list[list[list[np.ndarray]]] = [[[] for _ in sizes] for _ in configs]
     for i in range(dag.n):
-        live = [j for j, err in enumerate(errors) if err is None]
-        if not live:
+        live = [[j for j, err in enumerate(errs) if err is None] for errs in errors]
+        if not any(live):
             break
         pa = dag.parents[i]
         if not pa:
-            for j in live:
-                coeffs[j].append(np.zeros(0))
+            for c, js in enumerate(live):
+                for j in js:
+                    coeffs[c][j].append(np.zeros(0))
             continue
-        rows = [sizes[j] // 2 for j in live]
-        try:
-            estimates = kernel(x[: rows[-1], pa], x[: rows[-1], i], config.batch_extra, rows)
-        except GbnError as exc:
-            estimates = [exc] * len(rows)
-        for j, est in zip(live, estimates):
-            if isinstance(est, GbnError):
-                errors[j] = type(est)(f"node {i}: method {config.method}: {est}")
-                errors[j].__cause__ = est
-            elif not np.isfinite(est).all():
-                errors[j] = NumericalError(f"node {i}: method {config.method}: coefficient estimate is not finite")
+        top = [sizes[js[-1]] // 2 if js else 0 for js in live]
+        xb, yb = x[: max(top), pa], x[: max(top), i]
+        square_top = max((t for t, config in zip(top, configs) if config.method in _SQUARE_METHODS), default=0)
+        sols = _batch_solve_stack(xb[:square_top], yb[:square_top]) if square_top else None
+        for c, config in enumerate(configs):
+            if not live[c]:
+                continue
+            rows = [sizes[j] // 2 for j in live[c]]
+            kernel = _METHOD_TABLE[config.method]
+            try:
+                estimates = kernel(xb[: rows[-1]], yb[: rows[-1]], config.batch_extra, rows, sols)
+            except GbnError as exc:
+                estimates = [exc] * len(rows)
+            for j, est in zip(live[c], estimates):
+                if isinstance(est, GbnError):
+                    errors[c][j] = type(est)(f"node {i}: method {config.method}: {est}")
+                    errors[c][j].__cause__ = est
+                elif not np.isfinite(est).all():
+                    errors[c][j] = NumericalError(f"node {i}: method {config.method}: coefficient estimate is not finite")
+                else:
+                    coeffs[c][j].append(est)
+    out: list[list] = []
+    for config, errs, config_coeffs in zip(configs, errors, coeffs):
+        fits: list = []
+        for m, err, node_coeffs in zip(sizes, errs, config_coeffs):
+            if err is None:
+                fits.append(_variance_phase(dag, x[m // 2 : m], node_coeffs, config.variance_method))
+            elif isinstance(err, NumericalError):
+                fits.append(err)
             else:
-                coeffs[j].append(est)
-    out: list = []
-    for m, err, node_coeffs in zip(sizes, errors, coeffs):
-        if err is None:
-            out.append(_variance_phase(dag, x[m // 2 : m], node_coeffs, config.variance_method))
-        elif isinstance(err, NumericalError):
-            out.append(err)
-        else:
-            raise err
+                raise err
+        out.append(fits)
     return out
 
 
@@ -544,7 +583,10 @@ def _variance_phase(dag: Dag, tail: np.ndarray, coeffs, variance_method: str) ->
         variances = variance_recovery(dag, tail, coeffs)
     else:
         resid = _residual_columns(dag, tail, coeffs)
-        variances = np.array([mad_variance(resid[:, i]) for i in range(dag.n)])
+        # An overflowing residual makes inf - inf in the MAD; its nan or inf
+        # estimate is flagged below. One errstate per fit, not per column.
+        with np.errstate(over="ignore", invalid="ignore"):
+            variances = np.array([mad_variance(resid[:, i]) for i in range(dag.n)])
     degenerate = tuple(
         i for i in range(dag.n) if not np.isfinite(variances[i]) or variances[i] <= DEGENERATE_VARIANCE
     )
@@ -567,9 +609,9 @@ def fit_detailed(dag: Dag, data: np.ndarray, config: FitConfig) -> FitOutcome:
     Samples holding NaN or +-inf are rejected with InvalidParameter before
     any solve; a kernel error keeps its class and gains ``node i: method M:``,
     as does the NumericalError of a non-finite coefficient estimate. This
-    is :func:`fit_prefixes` with the one size ``m``.
+    is :func:`fit_prefixes` with the one config and the one size ``m``.
     """
-    (outcome,) = fit_prefixes(dag, data, config)
+    ((outcome,),) = fit_prefixes(dag, data, (config,))
     if isinstance(outcome, NumericalError):
         raise outcome
     return outcome

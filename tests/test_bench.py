@@ -484,6 +484,32 @@ class TestRunExperiment:
         with pytest.raises(ConfigInvalid):
             run_experiment(_tiny_config(repetitions=0))
 
+    @pytest.mark.parametrize("record_timing", [False, True])
+    def test_one_fit_call_per_rep_or_per_timed_cell(self, monkeypatch, record_timing):
+        # Timing off, one fit_prefixes call per repetition fits every
+        # method at every size; timing on, one call per (method, size).
+        calls = []
+        real = estimators.fit_prefixes
+
+        def recording(dag, data, configs, sizes=None):
+            calls.append(([c.method for c in configs], sizes))
+            return real(dag, data, configs, sizes)
+
+        monkeypatch.setattr(estimators, "fit_prefixes", recording)
+        methods = (
+            MethodSpec("ls", FitConfig(method="least_squares")),
+            MethodSpec("ct", FitConfig(method="cauchy_est_tree")),
+            MethodSpec("ce", FitConfig(method="cauchy_est", variance_method="mad")),
+        )
+        cfg = _tiny_config(methods=methods, repetitions=2, record_timing=record_timing)
+        rows = run_experiment(cfg)
+        assert len(rows) == 3 * 2 * 2 and not any(r.degenerate for r in rows)
+        if record_timing:
+            cells = [([m], (size,)) for m in ("least_squares", "cauchy_est_tree", "cauchy_est") for size in (50, 120)]
+            assert calls == cells * 2
+        else:
+            assert calls == [(["least_squares", "cauchy_est_tree", "cauchy_est"], (50, 120))] * 2
+
     def test_truth_covariance_computed_once_per_rep(self, monkeypatch):
         calls = []
         real = gbn.covariance
@@ -546,8 +572,8 @@ class TestScenarios:
                 except NumericalError as exc:
                     raised.append(type(exc))
                     raise
-                if isinstance(result, list):  # fit_prefixes returns a size's NumericalError
-                    raised.extend(type(r) for r in result if isinstance(r, NumericalError))
+                # fit_prefixes returns a (method, size)'s NumericalError
+                raised.extend(type(r) for fits in result for r in fits if isinstance(r, NumericalError))
                 return result
 
             return wrapped
@@ -570,9 +596,7 @@ class TestScenarios:
             )
         ]
         config = ExperimentConfig(GraphSpec("er", 30, 3.0), tuple(methods), (400,), 1, 0)
-        degenerate = {
-            ms.label: _method_rows(config, rd, ms, parent_covs)[0].degenerate for ms in methods
-        }
+        degenerate = {row.method: row.degenerate for row in _method_rows(config, rd, parent_covs)}
         assert degenerate == {
             "least_squares": True,
             "batch_avg": True,
@@ -594,7 +618,7 @@ class TestScenarios:
         parent_covs = gbn.parent_covariances(dag, gbn.covariance(truth))
         methods = tuple(MethodSpec(method, FitConfig(method=method, batch_extra=3)) for method in estimators.METHODS)
         config = ExperimentConfig(GraphSpec("tree", 2), methods, (100, 200), 1, 0)
-        rows = [row for ms in methods for row in _method_rows(config, rd, ms, parent_covs)]
+        rows = _method_rows(config, rd, parent_covs)
         assert len(rows) == 2 * len(methods)
         assert all(row.degenerate and row.kl_total is None and row.tv_upper is None for row in rows)
 

@@ -593,6 +593,24 @@ class TestVarianceRecovery:
         with pytest.raises(InsufficientSamples):
             variance_recovery(dag, np.empty((0, 1)), [np.zeros(0)])
 
+    @pytest.mark.parametrize("order", ["F", "C"])
+    def test_row_order_sum_bit_for_bit(self, order):
+        # Each mean is a plain sum of squares taken row by row, then divided
+        # by the row count, in either sample layout. One parent per node, so
+        # each residual is one product and one difference, as below.
+        dag = build_dag(4, [(0, 1), (1, 2), (0, 3)])
+        coeffs = [np.zeros(0), np.array([1.5]), np.array([-0.7]), np.array([2.25])]
+        rng = np.random.default_rng(43)
+        data = np.asarray(rng.normal(size=(257, 4)) * rng.lognormal(0.0, 3.0, size=(257, 4)), order=order)
+        expected = []
+        for i, pa in enumerate(dag.parents):
+            total = 0.0
+            for row in data.tolist():
+                r = row[i] - (row[pa[0]] * float(coeffs[i][0]) if pa else 0.0)
+                total += r * r
+            expected.append(total / len(data))
+        assert _bits(variance_recovery(dag, data, coeffs)).tolist() == _bits(np.array(expected)).tolist()
+
 
 class TestMadVariance:
     def test_frozen_example(self):
@@ -739,6 +757,23 @@ class TestFit:
         assert outcome.degenerate_nodes == (0, 1, 2)
         assert (outcome.model.variances == DEGENERATE_VARIANCE).all()
 
+    @pytest.mark.parametrize("variance_method", VARIANCE_METHODS)
+    @pytest.mark.parametrize("method", METHODS)
+    def test_overflowing_residual_is_flagged_without_warnings(self, method, variance_method):
+        # Coefficient rows x ~ 1e-10 with y ~ 1e300 x give a finite estimate
+        # near 1e300; the variance rows' parent values near 1e30 times it
+        # overflow the residuals, so node 1's variance is not finite.
+        rng = np.random.default_rng(44)
+        x = np.concatenate([1e-10 * rng.normal(size=100), 1e30 * rng.normal(size=100)])
+        y = np.concatenate([1e300 * x[:100] * (1.0 + 0.01 * rng.normal(size=100)), rng.normal(size=100)])
+        dag = build_dag(2, [(0, 1)])
+        config = FitConfig(method=method, batch_extra=3, variance_method=variance_method)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outcome = fit_detailed(dag, np.column_stack([x, y]), config)
+        assert np.isfinite(outcome.model.coeffs[1]).all() and abs(outcome.model.coeffs[1][0]) > 1e299
+        assert outcome.degenerate_nodes == (1,)
+
     @pytest.mark.parametrize("p", [1, 2])
     @pytest.mark.parametrize("method", METHODS)
     def test_overflowing_coefficient_is_a_numerical_error_without_warnings(self, method, p):
@@ -853,8 +888,15 @@ class TestFit:
         # Three sizes in one pass: a batch kernel still runs once per node
         # with parents; least squares runs once per node and size.
         calls.clear()
-        fit_prefixes(dag, data, config, (100, 250, 400))
+        fit_prefixes(dag, data, [config], (100, 250, 400))
         assert len(calls) == with_parents * (3 if method == "least_squares" else 1)
+        # Fitted beside every other method, as often per method that uses
+        # the kernel: batch_least_squares serves both batch methods.
+        calls.clear()
+        configs = [FitConfig(method=other, batch_extra=5) for other in METHODS]
+        fit_prefixes(dag, data, configs, (100, 250, 400))
+        per_node = {"least_squares_node": 3, "batch_least_squares": 2}.get(kernel, 1)
+        assert len(calls) == with_parents * per_node
 
     def test_too_few_rows_overall(self):
         dag = build_dag(1, [])
@@ -917,14 +959,17 @@ def _same_outcome(got, ref):
     )
 
 
-def _per_size(dag, data, config, sizes):
-    """fit_detailed at each size in turn, a NumericalError kept in its size's place."""
+def _per_size(dag, data, configs, sizes):
+    """fit_detailed of each config at each size in turn, a NumericalError kept in its place."""
     out = []
-    for m in sizes:
-        try:
-            out.append(fit_detailed(dag, data[:m], config))
-        except NumericalError as exc:
-            out.append(exc)
+    for config in configs:
+        fits = []
+        for m in sizes:
+            try:
+                fits.append(fit_detailed(dag, data[:m], config))
+            except NumericalError as exc:
+                fits.append(exc)
+        out.append(fits)
     return out
 
 
@@ -935,28 +980,39 @@ def _run(fn, *args):
         return exc
 
 
-def _assert_prefixes_match(dag, data, config, sizes):
-    got, ref = _run(fit_prefixes, dag, data, config, sizes), _run(_per_size, dag, data, config, sizes)
+def _assert_prefixes_match(dag, data, configs, sizes):
+    got, ref = _run(fit_prefixes, dag, data, configs, sizes), _run(_per_size, dag, data, configs, sizes)
     if isinstance(ref, GbnError):
         assert type(got) is type(ref) and str(got) == str(ref)
         return got
-    assert len(got) == len(ref) and all(_same_outcome(g, r) for g, r in zip(got, ref))
+    assert len(got) == len(ref)
+    for g, r in zip(got, ref):
+        assert len(g) == len(r) and all(_same_outcome(a, b) for a, b in zip(g, r))
     return got
 
 
+_CONFIGS = st.builds(
+    FitConfig,
+    method=st.sampled_from(METHODS),
+    batch_extra=st.integers(1, 4),
+    variance_method=st.sampled_from(VARIANCE_METHODS),
+)
+
+
 class TestFitPrefixes:
-    """One pass over nested sizes equals fit_detailed at each size, bit for bit."""
+    """One pass over methods and nested sizes equals fit_detailed at each, bit for bit."""
 
     @given(
         seed=st.integers(0, 2**32 - 1),
-        method=st.sampled_from(METHODS),
-        variance_method=st.sampled_from(VARIANCE_METHODS),
-        batch_extra=st.integers(1, 4),
+        configs=st.lists(_CONFIGS, min_size=1, max_size=5),
         sizes=st.lists(st.integers(2, 160), min_size=1, max_size=4, unique=True).map(sorted),
         damage=st.sampled_from(["none", "collinear_head", "zero_head"]),
     )
     @settings(max_examples=150, deadline=None)
-    def test_matches_fit_detailed_per_size(self, seed, method, variance_method, batch_extra, sizes, damage):
+    def test_matches_fit_detailed_per_config_and_size(self, seed, configs, sizes, damage):
+        # The damage makes methods fail at different sizes and nodes: a
+        # batch method's batch size, the Cholesky factor of a prefix and
+        # the least-squares rank rule each meet the damaged head differently.
         rng = np.random.default_rng(seed)
         dag = random_er_dag(8, 3.0, rng)
         data = sample(random_gbn(dag, (1.0, 2.0), UnitVariances(), rng), sizes[-1], rng)
@@ -965,8 +1021,75 @@ class TestFitPrefixes:
             data[:head, 1] = 2.0 * data[:head, 0]
         elif damage == "zero_head":
             data[:head, :3] = 0.0
-        config = FitConfig(method=method, batch_extra=batch_extra, variance_method=variance_method)
-        _assert_prefixes_match(dag, data, config, tuple(sizes))
+        _assert_prefixes_match(dag, data, configs, tuple(sizes))
+
+    def test_configs_fail_at_different_sizes_and_nodes(self):
+        # Rows 0-4 of node 2's parents are collinear and parent 4 of node 5
+        # is zero in rows 0-11. batch_avg (5-row batches at node 2, 7-row
+        # at node 5) fails at node 2 for m = 12 and at node 5 for m = 20;
+        # the others fail at node 5 while m // 2 <= 10, or never.
+        dag = build_dag(6, [(0, 2), (1, 2), (0, 5), (1, 5), (3, 5), (4, 5)])
+        data = np.random.default_rng(62).normal(size=(100, 6))
+        data[:5, 1] = 2.0 * data[:5, 0]
+        data[:12, 4] = 0.0
+        configs = [
+            FitConfig(method="batch_avg", batch_extra=3),
+            FitConfig(method="least_squares"),
+            FitConfig(method="cauchy_est"),
+            FitConfig(method="cauchy_est_tree", variance_method="mad"),
+            FitConfig(method="batch_med", batch_extra=1),
+        ]
+        got = _assert_prefixes_match(dag, data, configs, (12, 20, 30, 100))
+        failed = [[str(f).split(":")[0] if isinstance(f, GbnError) else None for f in fits] for fits in got]
+        assert failed == [
+            ["node 2", "node 5", None, None],
+            ["node 5", "node 5", None, None],
+            ["node 5", "node 5", None, None],
+            [None, None, None, None],
+            ["node 5", "node 5", None, None],
+        ]
+
+    @pytest.mark.parametrize(
+        "methods, solves",
+        [
+            (("cauchy_est", "cauchy_est_tree"), 1),
+            (("cauchy_est_tree", "least_squares", "batch_med", "cauchy_est"), 1),
+            (("cauchy_est",), 1),
+            (("least_squares", "batch_avg", "batch_med"), 0),
+        ],
+    )
+    def test_square_stack_solved_once_per_node(self, monkeypatch, methods, solves):
+        # Both Cauchy methods take their medians over the same square
+        # batches: one solve per node with parents serves both, at every
+        # size, and no solve runs without a Cauchy method.
+        rng = np.random.default_rng(45)
+        dag = random_er_dag(20, 2, rng)
+        data = sample(random_gbn(dag, (1.0, 2.0), UnitVariances(), rng), 400, rng)
+        original = estimators._batch_solve_stack
+        calls = []
+
+        def counting(x, y):
+            calls.append(len(x))
+            return original(x, y)
+
+        monkeypatch.setattr(estimators, "_batch_solve_stack", counting)
+        configs = [FitConfig(method=method, batch_extra=5) for method in methods]
+        got = fit_prefixes(dag, data, configs, (100, 250, 400))
+        assert all(isinstance(f, FitOutcome) for fits in got for f in fits)
+        with_parents = sum(1 for pa in dag.parents if pa)
+        assert calls == [200] * (with_parents * solves)
+
+    def test_kernels_keep_their_bits_given_a_longer_blocks_solutions(self):
+        # The first r // p solutions of a block are those of its first r rows.
+        rng = np.random.default_rng(46)
+        x, y = rng.normal(size=(90, 3)), rng.normal(size=90)
+        sols = _batch_solve_stack(x, y)
+        for kernel in (cauchy_est_tree_node, cauchy_est_node):
+            for r in (4, 30, 61, 90):
+                alone = kernel(x[:r], y[:r])
+                assert _bits(kernel(x[:r], y[:r], solutions=sols)).tolist() == _bits(alone).tolist()
+            with pytest.raises(InvalidParameter, match=r"^need at least 30 solutions of 3 coefficients, got shape \(29, 3\)$"):
+                kernel(x, y, solutions=sols[:29])
 
     def _two_parent_data(self, n_rows, seed=61):
         dag = build_dag(3, [(0, 2), (1, 2)])
@@ -982,7 +1105,7 @@ class TestFitPrefixes:
         dag, data = self._two_parent_data(60)
         data[:5, :2] = 0.0
         data[5:10, 1] = 3.0 * data[5:10, 0]
-        got = _assert_prefixes_match(dag, data, FitConfig(method=method, batch_extra=3), (20, 60))
+        (got,) = _assert_prefixes_match(dag, data, [FitConfig(method=method, batch_extra=3)], (20, 60))
         assert isinstance(got[0], RankDeficient)
         assert str(got[0]) == f"node 2: method {method}: all 2 batches were rank deficient"
         assert isinstance(got[1], FitOutcome)
@@ -992,7 +1115,7 @@ class TestFitPrefixes:
         # matrix is singular, the 100-row one is not.
         dag, data = self._two_parent_data(200)
         data[:10, 1] = 0.0
-        got = _assert_prefixes_match(dag, data, FitConfig(method="cauchy_est"), (20, 50, 200))
+        (got,) = _assert_prefixes_match(dag, data, [FitConfig(method="cauchy_est")], (20, 50, 200))
         assert isinstance(got[0], CholeskyFailed)
         assert str(got[0]).startswith("node 2: method cauchy_est: empirical parent covariance is not positive")
         assert all(isinstance(g, FitOutcome) for g in got[1:])
@@ -1003,8 +1126,8 @@ class TestFitPrefixes:
         dag, data = self._two_parent_data(400)
         config = FitConfig(method="batch_med", batch_extra=20)
         with pytest.raises(InsufficientSamples, match="^node 2: method batch_med: needs at least 22 rows, got 10$"):
-            fit_prefixes(dag, data, config, (20, 400))
-        _assert_prefixes_match(dag, data, config, (20, 400))
+            fit_prefixes(dag, data, [config], (20, 400))
+        _assert_prefixes_match(dag, data, [config], (20, 400))
 
     def test_numerical_error_masks_a_later_nodes_insufficient_samples(self):
         # m = 12 has 6 coefficient rows: node 2 (batches of 5) meets one
@@ -1016,10 +1139,10 @@ class TestFitPrefixes:
         config = FitConfig(method="batch_avg", batch_extra=3)
         with pytest.raises(RankDeficient, match="^node 2: method batch_avg: all 1 batches were rank deficient$"):
             fit_detailed(dag, data[:12], config)
-        got = _assert_prefixes_match(dag, data, config, (12, 100))
+        (got,) = _assert_prefixes_match(dag, data, [config], (12, 100))
         assert isinstance(got[0], RankDeficient) and isinstance(got[1], FitOutcome)
         with pytest.raises(InsufficientSamples, match="^node 5: method batch_avg: needs at least 7 rows, got 6$"):
-            fit_prefixes(dag, data[5:], config, (12, 95))
+            fit_prefixes(dag, data[5:], [config], (12, 95))
 
     def test_non_finite_row_fails_only_the_sizes_that_hold_it(self):
         # The first size raises nothing of its own, so the error is the
@@ -1028,8 +1151,8 @@ class TestFitPrefixes:
         data[70, 0] = np.nan
         config = FitConfig(method="cauchy_est_tree")
         with pytest.raises(InvalidParameter, match="^samples contain NaN or infinite values$"):
-            fit_prefixes(dag, data, config, (50, 100))
-        _assert_prefixes_match(dag, data, config, (40, 70))
+            fit_prefixes(dag, data, [config], (50, 100))
+        _assert_prefixes_match(dag, data, [config], (40, 70))
 
     @pytest.mark.parametrize("method", METHODS)
     def test_overflowing_coefficient_fails_only_the_sizes_that_overflow(self, method):
@@ -1041,7 +1164,7 @@ class TestFitPrefixes:
         dag, data = self._two_parent_data(200)
         data[:20, :2] *= 1e-200
         data[:20, 2] *= 1e200
-        got = _assert_prefixes_match(dag, data, FitConfig(method=method, batch_extra=3), (20, 200))
+        (got,) = _assert_prefixes_match(dag, data, [FitConfig(method=method, batch_extra=3)], (20, 200))
         assert type(got[0]) is NumericalError
         assert str(got[0]) == f"node 2: method {method}: coefficient estimate is not finite"
         assert isinstance(got[1], NumericalError if method in ("batch_avg", "cauchy_est") else FitOutcome)
@@ -1065,7 +1188,7 @@ class TestFitPrefixes:
     def test_sizes_must_increase_within_the_rows(self, sizes):
         dag, data = self._two_parent_data(100)
         with pytest.raises(InvalidParameter, match="sizes must be strictly increasing within"):
-            fit_prefixes(dag, data, FitConfig(method="least_squares"), sizes)
+            fit_prefixes(dag, data, [FitConfig(method="least_squares")], sizes)
 
 
 class TestErrorBudgetRegime:
