@@ -38,7 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .dag import Dag
 from .errors import (
@@ -425,7 +424,10 @@ def cauchy_est_node(parent_block: np.ndarray, target: np.ndarray, rows=None, sol
             raise CholeskyFailed(f"empirical parent covariance is not positive definite: {exc}") from exc
         with np.errstate(invalid="ignore"):  # an inf solution times a zero of L is nan; fit reports it
             whitened_median = _median(sols[: r // p] @ ell)
-        return scipy.linalg.solve_triangular(ell.T, whitened_median, lower=False, check_finite=False)
+        # LU with partial pivoting makes no row swap on the upper triangle
+        # L^T and leaves it exact, so this is the triangular back-solve,
+        # bit for bit.
+        return np.linalg.solve(ell.T, whitened_median)
 
     return _each_prefix(estimate, m, rows)
 
@@ -442,18 +444,13 @@ def empirical_mle(data: np.ndarray) -> np.ndarray:
 # variance recovery
 
 
-def _residual_columns(dag: Dag, data: np.ndarray, coeffs) -> np.ndarray:
-    out = np.empty_like(data)
-    # A finite estimate times a large parent value may overflow; the inf
-    # or nan residual then makes the node degenerate in fit.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(dag.n):
-            pa = dag.parents[i]
-            if pa:
-                out[:, i] = data[:, i] - data[:, pa] @ coeffs[i]
-            else:
-                out[:, i] = data[:, i]
-    return out
+def _residuals(dag: Dag, data: np.ndarray, coeffs):
+    # Each node's residual column in turn, one at a time; a parentless
+    # node's is its raw value. A finite estimate times a large parent
+    # value may overflow, so the caller holds np.errstate(over, invalid):
+    # the inf or nan residual then makes the node degenerate in fit.
+    for i, pa in enumerate(dag.parents):
+        yield data[:, i] - data[:, pa] @ coeffs[i] if pa else data[:, i]
 
 
 def variance_recovery(dag: Dag, data: np.ndarray, coeffs) -> np.ndarray:
@@ -468,13 +465,12 @@ def variance_recovery(dag: Dag, data: np.ndarray, coeffs) -> np.ndarray:
         raise InvalidParameter(f"expected (m, {dag.n}) samples, got shape {x.shape}")
     if x.shape[0] < 1:
         raise InsufficientSamples("variance recovery needs at least one row")
-    resid = _residual_columns(dag, x, coeffs)
-    # Reduce in row order whatever the sample layout: the squares go
-    # straight into a row-major buffer, whose mean over axis 0 adds one
-    # row at a time (numpy sums a contiguous axis pairwise, which would
-    # move the last bits).
-    with np.errstate(over="ignore"):  # an inf estimate is flagged degenerate by fit_detailed
-        return np.square(resid, order="C").mean(axis=0)
+    # Sum each node's squares in row order whatever the sample layout:
+    # add.accumulate adds one value at a time, where np.sum would add a
+    # contiguous column pairwise and move the last bits.
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf estimate is flagged degenerate by fit_detailed
+        totals = np.array([np.add.accumulate(np.square(r))[-1] for r in _residuals(dag, x, coeffs)])
+    return totals / len(x)
 
 
 def mad_variance(residuals: np.ndarray) -> float:
@@ -521,8 +517,10 @@ def fit_prefixes(dag: Dag, data: np.ndarray, configs, sizes=None) -> list[list]:
     if not sizes or sizes[0] < 0 or sizes[-1] > x.shape[0] or any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise InvalidParameter(f"sizes must be strictly increasing within [0, {x.shape[0]}], got {list(sizes)}")
     # fit_detailed's own checks on each data[:m], before any node.
+    # Only the first non-finite row is kept: the m x n mask goes before the first node.
     finite = np.isfinite(x[: sizes[-1]])
     first_bad = sizes[-1] if finite.all() else int(np.flatnonzero(~finite.all(axis=1))[0])
+    del finite
     refused: list[GbnError | None] = [None] * len(sizes)
     for j, m in enumerate(sizes):
         if m > first_bad:
@@ -582,11 +580,10 @@ def _variance_phase(dag: Dag, tail: np.ndarray, coeffs, variance_method: str) ->
     if variance_method == "empirical":
         variances = variance_recovery(dag, tail, coeffs)
     else:
-        resid = _residual_columns(dag, tail, coeffs)
         # An overflowing residual makes inf - inf in the MAD; its nan or inf
         # estimate is flagged below. One errstate per fit, not per column.
         with np.errstate(over="ignore", invalid="ignore"):
-            variances = np.array([mad_variance(resid[:, i]) for i in range(dag.n)])
+            variances = np.array([mad_variance(r) for r in _residuals(dag, tail, coeffs)])
     degenerate = tuple(
         i for i in range(dag.n) if not np.isfinite(variances[i]) or variances[i] <= DEGENERATE_VARIANCE
     )

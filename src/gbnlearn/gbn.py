@@ -20,7 +20,6 @@ from pathlib import Path
 from typing import ClassVar
 
 import numpy as np
-import scipy.linalg
 
 from .dag import Dag, as_count, build_dag
 from .errors import FileFormatError, InvalidParameter, NotPositiveDefinite
@@ -201,26 +200,25 @@ def covariance(model: GaussianBayesNet) -> np.ndarray:
     With S the covariance over the first k nodes of ``dag.order`` and
     node k's parents at positions P with coefficients a, the structural
     equation gives ``Cov(X_k, X_j) = a . S[P, j]`` for each earlier j and
-    ``Var(X_k) = a . S[P, P] . a + sigma2_k``. Node k costs O(k * p_k),
+    ``Var(X_k) = a . S[P, P] . a + sigma2_k``. Node k costs O(n * p_k),
     so the matrix costs O(n^2 * mean parent count), where the closed form
     ``(I - C)^-1 D (I - C)^-T`` over the coefficient matrix C would cost
     O(n^3). Each off-diagonal entry is computed once and written to both
-    triangles, so the result is exactly symmetric.
+    triangles, so the result is exactly symmetric. The one n x n buffer is
+    filled in node coordinates; each row product gathers the earlier
+    nodes' columns in topological order.
     """
     dag = model.dag
-    n = dag.n
-    pos = np.empty(n, dtype=int)
-    pos[list(dag.order)] = np.arange(n)
-    s_topo = np.empty((n, n))
+    order = np.asarray(dag.order, dtype=int)
+    out = np.empty((dag.n, dag.n))
     for k, node in enumerate(dag.order):
-        pa = pos[list(dag.parents[node])]
+        pa = list(dag.parents[node])
         a = model.coeffs[node]
-        row = a @ s_topo[pa, :k]
-        s_topo[k, :k] = row
-        s_topo[:k, k] = row
-        s_topo[k, k] = row[pa] @ a + model.variances[node]
-    out = np.empty((n, n))
-    out[np.ix_(dag.order, dag.order)] = s_topo
+        earlier = order[:k]
+        row = a @ out[pa].take(earlier, axis=1)
+        out[node][earlier] = row  # 1-d views: numpy's fast path for fancy assignment
+        out[:, node][earlier] = row
+        out[node, node] = out[node, pa] @ a + model.variances[node]
     return out
 
 
@@ -380,9 +378,10 @@ def gaussian_kl(sigma_p: np.ndarray, sigma_q: np.ndarray) -> float:
 
         KL = (tr(sigma_q^-1 sigma_p) - n + ln det sigma_q - ln det sigma_p) / 2
 
-    Log-determinants and the trace term go through Cholesky factors; a
-    failed factorization raises NotPositiveDefinite rather than being
-    regularized away.
+    Log-determinants and the trace term go through the Cholesky factors
+    ``sigma_p = Lp Lp^T`` and ``sigma_q = Lq Lq^T``: the trace is
+    ``||Lq^-1 Lp||_F^2``, from one solve. A failed factorization raises
+    NotPositiveDefinite rather than being regularized away.
     """
     p = np.asarray(sigma_p, dtype=float)
     q = np.asarray(sigma_q, dtype=float)
@@ -399,9 +398,7 @@ def gaussian_kl(sigma_p: np.ndarray, sigma_q: np.ndarray) -> float:
         raise NotPositiveDefinite(f"covariance is not positive definite: {exc}") from exc
     logdet_p = 2.0 * float(np.sum(np.log(np.diag(lp))))
     logdet_q = 2.0 * float(np.sum(np.log(np.diag(lq))))
-    half = scipy.linalg.solve_triangular(lq, p, lower=True)
-    whitened = scipy.linalg.solve_triangular(lq, half.T, lower=True)
-    trace = float(np.trace(whitened))
+    trace = float(np.sum(np.square(np.linalg.solve(lq, lp))))
     return 0.5 * (trace - n + logdet_q - logdet_p)
 
 

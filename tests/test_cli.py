@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: subcommands, file outputs, exit codes."""
 
 import json
+import math
 import os
 import re
 import shutil
@@ -438,6 +439,43 @@ def test_python_dash_m_runs_the_cli():
     assert proc.returncode == 0, proc.stderr
     assert "usage: gbnlearn" in proc.stdout
     assert "generate" in proc.stdout
+
+
+NO_SCIPY_RUN = """
+import json, sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
+import numpy as np
+import gbnlearn
+from gbnlearn.cli import EXIT_OK, cli
+from gbnlearn.gbn import gaussian_kl
+
+out, config = sys.argv[1], json.loads(sys.argv[2])
+assert cli(["generate", "--graph", "er", "--nodes", "6", "--degree", "2", "--samples", "400",
+            "--seed", "5", "--out", out]) == EXIT_OK
+assert cli(["fit", "--dag", out + "/dag.txt", "--samples", out + "/samples.csv", "--method", "cauchy_est",
+            "--variance-method", "mad", "--out", out + "/est.txt"]) == EXIT_OK
+assert cli(["eval", out + "/model.txt", out + "/est.txt", "--per-node"]) == EXIT_OK
+with open(out + "/config.json", "w") as fh:
+    json.dump(config, fh)
+assert cli(["bench", "--config", out + "/config.json", "--out", out + "/bench"]) == EXIT_OK
+print("kl", gaussian_kl(np.eye(2), 2.0 * np.eye(2)))
+"""
+
+
+def test_runs_without_scipy(tmp_path):
+    # scipy is a test dependency only: the CLI pipeline, a bench sweep over
+    # every method and the Gaussian KL oracle run with every scipy import
+    # failing.
+    config = dict(TINY_BENCH, methods=[{"method": m, "batch_extra": 3} for m in estimators.METHODS])
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_RUN, str(tmp_path), json.dumps(config)],
+        capture_output=True,
+        text=True,
+        env=_package_env(),
+        timeout=SCRIPT_TIMEOUT_S,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout.splitlines()[-1].split()[1]) == pytest.approx(math.log(2.0) - 0.5, abs=1e-15)
 
 
 def test_malformed_config_exits_2_without_traceback(tmp_path):

@@ -1,10 +1,12 @@
 """Per-node estimators, variance recovery, and the two-phase fit driver."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -521,6 +523,34 @@ class TestCauchyEst:
             scaled = cauchy_est_node(np.ldexp(x, k), np.ldexp(y, k))
         assert _bits(scaled).tolist() == _bits(cauchy_est_node(x, y)).tolist()
 
+    @staticmethod
+    def _solve_triangular_reference(x, y):
+        # The kernel's estimate on all rows, back-solved with LAPACK's
+        # triangular solve (trtrs) through scipy instead of np.linalg.solve.
+        m, p = x.shape
+        u = np.ldexp(x, -np.frexp(np.abs(x).max())[1])
+        ell = np.linalg.cholesky(u.T @ u / m)
+        whitened_median = _median(_batch_solve_stack(x, y)[: m // p] @ ell)
+        return scipy.linalg.solve_triangular(ell.T, whitened_median, lower=False, check_finite=False)
+
+    @pytest.mark.parametrize("p", range(1, 11))
+    def test_back_solve_matches_solve_triangular_bit_for_bit(self, p):
+        # LU with partial pivoting swaps no row of an upper triangle and
+        # leaves it exact, so np.linalg.solve runs the same back-solve as
+        # trtrs: every bit agrees, at extreme scales and with near-collinear
+        # parents too.
+        rng = np.random.default_rng(300 + p)
+        for k in (-300, -60, 0, 60, 300):
+            for case in range(12):
+                m = int(rng.integers(p + 1, 12 * p + 30))
+                x = rng.normal(size=(m, p)) * rng.lognormal(0.0, 1.0, size=p)
+                if case % 3 == 2 and p > 1:
+                    x[:, 1] = x[:, 0] + 1e-5 * rng.normal(size=m)
+                y = x @ rng.normal(size=p) + rng.standard_cauchy(size=m)
+                x, y = np.ldexp(x, k), np.ldexp(y, k + int(rng.integers(-3, 4)))
+                expected = self._solve_triangular_reference(x, y)
+                assert _bits(cauchy_est_node(x, y)).tolist() == _bits(expected).tolist(), (k, case)
+
     def test_cholesky_failure_surfaces(self):
         col = np.array([1.0, 2.0, 3.0])
         x = np.column_stack([col, col])  # singular second-moment matrix
@@ -610,6 +640,66 @@ class TestVarianceRecovery:
                 total += r * r
             expected.append(total / len(data))
         assert _bits(variance_recovery(dag, data, coeffs)).tolist() == _bits(np.array(expected)).tolist()
+
+
+def _residual_matrix(dag, data, coeffs):
+    # The (m, n) residual matrix the variance phases used to build before
+    # reducing it column by column; kept here as their reference.
+    out = np.empty_like(data)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, pa in enumerate(dag.parents):
+            out[:, i] = data[:, i] - data[:, pa] @ coeffs[i] if pa else data[:, i]
+    return out
+
+
+def _variance_case(order, m=301, n=30):
+    rng = np.random.default_rng(61)
+    dag = random_er_dag(n, 3.0, rng)
+    coeffs = [rng.normal(size=len(pa)) for pa in dag.parents]
+    data = np.asarray(rng.normal(size=(m, n)) * rng.lognormal(0.0, 3.0, size=n), order=order)
+    return dag, data, coeffs
+
+
+def _peak_bytes(call):
+    # numpy reports its buffers to tracemalloc, so the peak is deterministic.
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestVariancePhase:
+    """The variance phases reduce one residual column at a time, bit for
+    bit as the reductions of the full residual matrix."""
+
+    @pytest.mark.parametrize("order", ["F", "C"])
+    def test_empirical_matches_row_major_mean(self, order):
+        dag, data, coeffs = _variance_case(order)
+        expected = np.square(_residual_matrix(dag, data, coeffs), order="C").mean(axis=0)
+        assert _bits(variance_recovery(dag, data, coeffs)).tolist() == _bits(expected).tolist()
+
+    @pytest.mark.parametrize("order", ["F", "C"])
+    def test_mad_matches_per_column_reference(self, order):
+        dag, data, coeffs = _variance_case(order)
+        resid = _residual_matrix(dag, data, coeffs)
+        expected = np.array([mad_variance(resid[:, i]) for i in range(dag.n)])
+        outcome = estimators._variance_phase(dag, data, coeffs, "mad")
+        assert outcome.degenerate_nodes == ()
+        assert _bits(outcome.model.variances).tolist() == _bits(expected).tolist()
+
+    @pytest.mark.parametrize("order", ["F", "C"])
+    @pytest.mark.parametrize("variance_method", VARIANCE_METHODS)
+    def test_allocates_a_few_columns_not_the_residual_matrix(self, order, variance_method):
+        # On an (m2 = 2000, n = 200) block the phase holds one node's
+        # parent gather and a few residual-sized columns at a time, never
+        # an m2 x n matrix (200 columns).
+        m2, n = 2000, 200
+        dag, data, coeffs = _variance_case(order, m2, n)
+        max_p = max(len(pa) for pa in dag.parents)
+        peak = _peak_bytes(lambda: estimators._variance_phase(dag, data, coeffs, variance_method))
+        assert peak <= (max_p + 4) * m2 * 8
 
 
 class TestMadVariance:

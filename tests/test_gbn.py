@@ -6,9 +6,11 @@ independent oracle for the per-node decomposition throughout.
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gbnlearn import gbn
 from gbnlearn.dag import build_dag, random_er_dag, random_tree_dag, remove_random_edges
@@ -233,6 +235,56 @@ class TestCovariance:
             if factors:
                 np.linalg.cholesky(cov)  # raises if not PD
 
+    @staticmethod
+    def _two_buffer_build(model):
+        # The covariance as it was built before the single buffer: in
+        # topological coordinates first, then permuted into node order.
+        dag = model.dag
+        n = dag.n
+        pos = np.empty(n, dtype=int)
+        pos[list(dag.order)] = np.arange(n)
+        s_topo = np.empty((n, n))
+        for k, node in enumerate(dag.order):
+            pa = pos[list(dag.parents[node])]
+            a = model.coeffs[node]
+            row = a @ s_topo[pa, :k]
+            s_topo[k, :k] = row
+            s_topo[:k, k] = row
+            s_topo[k, k] = row[pa] @ a + model.variances[node]
+        out = np.empty((n, n))
+        out[np.ix_(dag.order, dag.order)] = s_topo
+        return out
+
+    @staticmethod
+    def _model(graph, n, rng):
+        if graph == "tree":
+            dag = random_tree_dag(n, rng)
+        else:
+            er = random_er_dag(n, 5.0, rng)
+            label = rng.permutation(n) if graph == "permuted_er" else np.arange(n)
+            dag = build_dag(n, [(int(label[j]), int(label[i])) for i in range(n) for j in er.parents[i]])
+        return random_gbn(dag, (0.5, 2.0), UniformVariances(0.5, 2.0), rng)
+
+    @pytest.mark.parametrize("graph", ["tree", "er", "permuted_er"])
+    def test_single_buffer_matches_two_buffer_build(self, graph):
+        model = self._model(graph, 300, np.random.default_rng(71))
+        assert (list(model.dag.order) == list(range(300))) == (graph == "er")
+        assert covariance(model).tobytes() == self._two_buffer_build(model).tobytes()
+
+    @pytest.mark.parametrize("graph", ["tree", "permuted_er"])
+    def test_allocates_one_n_by_n_buffer(self, graph):
+        # numpy reports its buffers to tracemalloc, so the peak is
+        # deterministic: the result plus a few rows, not a second n x n.
+        n = 300
+        model = self._model(graph, n, np.random.default_rng(72))
+        tracemalloc.start()
+        try:
+            covariance(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * n * n * 8
+
     def test_parent_covariance_chain(self):
         dag = build_dag(3, [(0, 1), (0, 2), (1, 2)])
         model = GaussianBayesNet(
@@ -325,6 +377,21 @@ class TestGaussianKl:
     def test_shape_mismatch(self):
         with pytest.raises(InvalidParameter, match=r"need two square matrices of equal size, got \(2, 2\) and \(3, 3\)"):
             gaussian_kl(np.eye(2), np.eye(3))
+
+    def test_matches_two_triangular_solve_form(self):
+        # The trace as ||Lq^-1 Lp||_F^2 from one solve agrees with
+        # tr(Lq^-1 sigma_p Lq^-T) from two triangular solves to 1e-12.
+        rng = np.random.default_rng(73)
+        for _ in range(60):
+            n = int(rng.integers(1, 51))
+            a, b = rng.normal(size=(2, n, n))
+            p, q = a @ a.T / n + np.eye(n), b @ b.T / n + np.eye(n)
+            lp, lq = np.linalg.cholesky(p), np.linalg.cholesky(q)
+            half = scipy.linalg.solve_triangular(lq, p, lower=True)
+            trace = np.trace(scipy.linalg.solve_triangular(lq, half.T, lower=True))
+            logdet_ratio = 2.0 * (np.sum(np.log(np.diag(lq))) - np.sum(np.log(np.diag(lp))))
+            expected = 0.5 * (trace - n + logdet_ratio)
+            assert gaussian_kl(p, q) == pytest.approx(expected, rel=1e-12, abs=0.0), n
 
 
 class TestKlDivergence:
