@@ -660,16 +660,6 @@ def _variance_case(order, m=301, n=30):
     return dag, data, coeffs
 
 
-def _peak_bytes(call):
-    # numpy reports its buffers to tracemalloc, so the peak is deterministic.
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 class TestVariancePhase:
     """The variance phases reduce one residual column at a time, bit for
     bit as the reductions of the full residual matrix."""
@@ -698,7 +688,12 @@ class TestVariancePhase:
         m2, n = 2000, 200
         dag, data, coeffs = _variance_case(order, m2, n)
         max_p = max(len(pa) for pa in dag.parents)
-        peak = _peak_bytes(lambda: estimators._variance_phase(dag, data, coeffs, variance_method))
+        tracemalloc.start()  # numpy reports its buffers to tracemalloc: the peak is deterministic
+        try:
+            estimators._variance_phase(dag, data, coeffs, variance_method)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert peak <= (max_p + 4) * m2 * 8
 
 
