@@ -26,11 +26,10 @@ contaminated data). Each kernel checks its own row need;
 ``fit_prefixes`` fits several methods on several nested prefixes of one
 dataset in one pass over the nodes, bit for bit as ``fit_detailed`` fits
 each (method, prefix); ``fit_detailed`` is its one-method, one-size case.
-The batch methods cut a node's rows into consecutive batches from row 0,
-so a prefix's batches are a prefix of the largest size's batches: each
-batch kernel solves its stack once and aggregates the first batches of
-each size. Both Cauchy methods take their medians over the same square
-batches, so a node's square stack is solved once for the two of them.
+It calls the batch and Cauchy kernels in a private prefix mode that
+solves a node's batches once for every size and relies on the checks
+``fit_prefixes`` has already made; called directly, each kernel checks
+its own input.
 """
 
 from __future__ import annotations
@@ -57,17 +56,18 @@ BATCH_METHODS = ("batch_avg", "batch_med")
 # and target y, the coefficient rows of the largest size, into one
 # estimate (or the GbnError it raises) per prefix row count in rows. The
 # Cauchy kernels also take sols, the node's square-batch solutions, which
-# fit_prefixes solves once for both. Each kernel is named inside a
-# lambda, so it is looked up in this module at fit time and a patched
-# module attribute sees every call.
+# fit_prefixes solves once for both. This table is the only caller of the
+# kernels' private prefix mode (_rows, _solutions). Each kernel is named
+# inside a lambda, so it is looked up in this module at fit time and a
+# patched module attribute sees every call.
 _METHOD_TABLE = {
     "least_squares": lambda x, y, extra, rows, sols: _each_prefix(
         lambda r: least_squares_node(x[:r], y[:r]), len(x), rows
     ),
-    "batch_avg": lambda x, y, extra, rows, sols: batch_least_squares(x, y, x.shape[1] + extra, "mean", rows),
-    "batch_med": lambda x, y, extra, rows, sols: batch_least_squares(x, y, x.shape[1] + extra, "median", rows),
-    "cauchy_est": lambda x, y, extra, rows, sols: cauchy_est_node(x, y, rows, sols),
-    "cauchy_est_tree": lambda x, y, extra, rows, sols: cauchy_est_tree_node(x, y, rows, sols),
+    "batch_avg": lambda x, y, extra, rows, sols: batch_least_squares(x, y, x.shape[1] + extra, "mean", _rows=rows),
+    "batch_med": lambda x, y, extra, rows, sols: batch_least_squares(x, y, x.shape[1] + extra, "median", _rows=rows),
+    "cauchy_est": lambda x, y, extra, rows, sols: cauchy_est_node(x, y, _rows=rows, _solutions=sols),
+    "cauchy_est_tree": lambda x, y, extra, rows, sols: cauchy_est_tree_node(x, y, _rows=rows, _solutions=sols),
 }
 METHODS = tuple(_METHOD_TABLE)
 _SQUARE_METHODS = ("cauchy_est", "cauchy_est_tree")
@@ -129,26 +129,27 @@ class FitOutcome:
 
 
 def _node_arrays(parent_block, target) -> tuple[np.ndarray, np.ndarray]:
-    # The shared input check of the per-node kernels: a 2-d parent block,
-    # a target with one value per row, and no NaN or +-inf in either.
+    # The input check of a one-shot kernel call: a 2-d parent block with at
+    # least one column, a target with one value per row, and no NaN or
+    # +-inf in either.
     x = np.asarray(parent_block, dtype=float)
     y = np.asarray(target, dtype=float)
     if x.ndim != 2 or y.shape != (x.shape[0],):
         raise InvalidParameter(f"incompatible shapes {x.shape} and {y.shape}")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise InvalidParameter("parent block or target contains NaN or infinite values")
+    if x.shape[1] < 1:
+        raise InvalidParameter("node must have at least one parent")
     return x, y
 
 
 def _each_prefix(estimate, m: int, rows):
     # The shared tail of the per-node kernels. With rows None, estimate(m)
     # itself, raising as it does. Otherwise one entry per prefix row count
-    # r in rows: estimate(r), or the GbnError it raises, so that one
-    # prefix's failure leaves the others.
+    # r in rows, each within [0, m]: estimate(r), or the GbnError it
+    # raises, so that one prefix's failure leaves the others.
     if rows is None:
         return estimate(m)
-    if any(not 0 <= r <= m for r in rows):
-        raise InvalidParameter(f"prefix row counts must lie in [0, {m}], got {list(rows)}")
     out = []
     for r in rows:
         try:
@@ -254,7 +255,7 @@ def least_squares_node(parent_block: np.ndarray, target: np.ndarray) -> np.ndarr
     fewer rows than parents, RankDeficient when the smallest singular
     value of ``X`` is at most ``_LSTSQ_RCOND`` times the largest (the rank
     rule of ``np.linalg.lstsq(rcond=_LSTSQ_RCOND)``), and InvalidParameter
-    when the input holds NaN or +-inf.
+    on non-finite input, mismatched shapes or a block without columns.
     """
     x, y = _node_arrays(parent_block, target)
     m, p = x.shape
@@ -267,7 +268,7 @@ def least_squares_node(parent_block: np.ndarray, target: np.ndarray) -> np.ndarr
 
 
 def batch_least_squares(
-    parent_block: np.ndarray, target: np.ndarray, k: int, aggregator: str, rows=None
+    parent_block: np.ndarray, target: np.ndarray, k: int, aggregator: str, *, _rows=None
 ) -> np.ndarray:
     """Disjoint consecutive batches of ``k`` rows, least squares per batch.
 
@@ -277,16 +278,17 @@ def batch_least_squares(
     closed form for one parent), under the same rank rule: a batch whose
     smallest singular value is at most ``_LSTSQ_RCOND`` times its largest
     is skipped; if every batch is skipped the whole call raises
-    RankDeficient. Input holding NaN or +-inf raises InvalidParameter.
-    ``aggregator`` selects ``"mean"`` or coordinate-wise
+    RankDeficient. Input that :func:`least_squares_node` refuses raises
+    InvalidParameter. ``aggregator`` selects ``"mean"`` or coordinate-wise
     ``"median"`` (an even solution count yields the average of the two
     central order statistics per coordinate).
 
-    With ``rows``, a sequence of prefix row counts, the batches are solved
-    once and the call returns one entry per count ``r``: the estimate of
-    the first ``r`` rows, bit for bit, or the error that call would raise.
+    ``_rows`` is :func:`fit_prefixes`'s private prefix mode, which skips
+    the input checks the fit has made: one entry per prefix row count
+    ``r``, the estimate of the first ``r`` rows, bit for bit, or the error
+    that call would raise.
     """
-    x, y = _node_arrays(parent_block, target)
+    x, y = _node_arrays(parent_block, target) if _rows is None else (parent_block, target)
     if aggregator not in ("mean", "median"):
         raise InvalidParameter(f"aggregator must be 'mean' or 'median', got {aggregator!r}")
     m, p = x.shape
@@ -305,7 +307,7 @@ def batch_least_squares(
         with np.errstate(invalid="ignore"):  # -inf and +inf average to nan; fit reports it
             return kept.mean(axis=0) if aggregator == "mean" else _median(kept)
 
-    return _each_prefix(estimate, m, rows)
+    return _each_prefix(estimate, m, _rows)
 
 
 def batch_solve(square_block: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -355,34 +357,28 @@ def _batch_solve_stack(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return sols
 
 
-def _square_batches(parent_block, target, solutions) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # The shared head of the Cauchy kernels: the checked arrays and the
-    # solutions of all their square batches, solved here unless given.
-    x, y = _node_arrays(parent_block, target)
-    m, p = x.shape
-    if p < 1:
-        raise InvalidParameter("node must have at least one parent")
-    if solutions is None:
-        return x, y, _batch_solve_stack(x, y)
-    if solutions.ndim != 2 or solutions.shape[1] != p or len(solutions) < m // p:
-        raise InvalidParameter(f"need at least {m // p} solutions of {p} coefficients, got shape {solutions.shape}")
-    return x, y, solutions
+def _square_batches(parent_block, target, rows, solutions) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # The shared head of the Cauchy kernels: the arrays, checked unless in
+    # the prefix mode, and the solutions of their square batches, solved
+    # here unless given.
+    x, y = _node_arrays(parent_block, target) if rows is None else (parent_block, target)
+    return x, y, _batch_solve_stack(x, y) if solutions is None else solutions
 
 
-def cauchy_est_tree_node(parent_block: np.ndarray, target: np.ndarray, rows=None, solutions=None) -> np.ndarray:
+def cauchy_est_tree_node(parent_block: np.ndarray, target: np.ndarray, *, _rows=None, _solutions=None) -> np.ndarray:
     """Coordinate-wise median of square-batch solutions.
 
     Rows are split into ``floor(m / p)`` disjoint batches of exactly
     ``p`` rows; each batch is solved as a square system. For a polytree
     the per-batch errors are independent scaled Cauchy variables, so the
     median concentrates even with heavy tails and corrupted rows. Input
-    holding NaN or +-inf raises InvalidParameter before any solve.
-    ``rows`` works as in :func:`batch_least_squares`. ``solutions``, if
-    given, replaces the kernel's own solve: the square-batch solutions of
-    these rows or of more rows of the same block, whose first ``r // p``
+    that :func:`least_squares_node` refuses raises InvalidParameter before
+    any solve. ``_rows`` works as in :func:`batch_least_squares`.
+    ``_solutions`` replaces the kernel's own solve with the square-batch
+    solutions of these rows or of a longer block, whose first ``r // p``
     are those of the first ``r`` rows, bit for bit.
     """
-    x, y, sols = _square_batches(parent_block, target, solutions)
+    x, y, sols = _square_batches(parent_block, target, _rows, _solutions)
     m, p = x.shape
 
     def estimate(r):
@@ -391,10 +387,10 @@ def cauchy_est_tree_node(parent_block: np.ndarray, target: np.ndarray, rows=None
         with np.errstate(invalid="ignore"):  # as in batch_least_squares
             return _median(sols[: r // p])
 
-    return _each_prefix(estimate, m, rows)
+    return _each_prefix(estimate, m, _rows)
 
 
-def cauchy_est_node(parent_block: np.ndarray, target: np.ndarray, rows=None, solutions=None) -> np.ndarray:
+def cauchy_est_node(parent_block: np.ndarray, target: np.ndarray, *, _rows=None, _solutions=None) -> np.ndarray:
     """Median of square-batch solutions in a whitened coordinate system.
 
     The empirical parent second-moment matrix ``Mhat = X^T X / m`` (all
@@ -402,12 +398,12 @@ def cauchy_est_node(parent_block: np.ndarray, target: np.ndarray, rows=None, sol
     ``L L^T``; batch solutions are mapped through ``L^T``, the
     coordinate-wise median is taken there, and the result is mapped back
     by ``(L^T)^-1``. Requires ``m >= p + 1``. A failed factorization
-    raises CholeskyFailed; it is never silently regularized. Input
-    holding NaN or +-inf raises InvalidParameter first. ``rows`` works as
-    in :func:`batch_least_squares`; each prefix has its own ``Mhat``.
-    ``solutions`` works as in :func:`cauchy_est_tree_node`.
+    raises CholeskyFailed; it is never silently regularized. Input that
+    :func:`cauchy_est_tree_node` refuses raises InvalidParameter first.
+    ``_rows`` and ``_solutions`` work as there; each prefix has its own
+    ``Mhat``.
     """
-    x, y, sols = _square_batches(parent_block, target, solutions)
+    x, y, sols = _square_batches(parent_block, target, _rows, _solutions)
     m, p = x.shape
 
     def estimate(r):
@@ -429,7 +425,7 @@ def cauchy_est_node(parent_block: np.ndarray, target: np.ndarray, rows=None, sol
         # bit for bit.
         return np.linalg.solve(ell.T, whitened_median)
 
-    return _each_prefix(estimate, m, rows)
+    return _each_prefix(estimate, m, _rows)
 
 
 def empirical_mle(data: np.ndarray) -> np.ndarray:
@@ -501,14 +497,17 @@ def fit_prefixes(dag: Dag, data: np.ndarray, configs, sizes=None) -> list[list]:
     first config, and in it the first size, that meets one, as a loop of
     ``fit_detailed`` calls over the configs and then the sizes would
     raise it. The pass goes node by node with the configs inside. Per
-    node, the parent block and target are gathered once, on the
-    coefficient rows of the largest size any config still fits, and each
-    config's kernel gets the row counts ``m // 2`` of its own live sizes:
-    the batch methods solve each batch once and aggregate a prefix of the
-    solutions per size, least squares solves per size, and the square
-    batches are solved once for both Cauchy methods. A (config, size)
-    stops at its first failed node. The variance phases run one (config,
-    size) at a time after the pass.
+    node with parents, the parent block and target are gathered once, on
+    the coefficient rows of the largest size any config still fits, and
+    each config's kernel gets the row counts ``m // 2`` of its own live
+    sizes, all within the block: the batch methods solve each batch once
+    and aggregate a prefix of the solutions per size, least squares
+    solves per size, and the square batches of the largest Cauchy prefix
+    are solved once for both Cauchy methods. A size past the first
+    non-finite row is refused before any node, so every gathered block is
+    finite and the kernels' prefix mode skips their input checks. A
+    (config, size) stops at its first failed node; the variance phases
+    run one (config, size) at a time after the pass.
     """
     x = np.asarray(data, dtype=float)
     if x.ndim != 2 or x.shape[1] != dag.n:
@@ -516,60 +515,58 @@ def fit_prefixes(dag: Dag, data: np.ndarray, configs, sizes=None) -> list[list]:
     sizes = (x.shape[0],) if sizes is None else tuple(sizes)
     if not sizes or sizes[0] < 0 or sizes[-1] > x.shape[0] or any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise InvalidParameter(f"sizes must be strictly increasing within [0, {x.shape[0]}], got {list(sizes)}")
-    # fit_detailed's own checks on each data[:m], before any node.
     # Only the first non-finite row is kept: the m x n mask goes before the first node.
     finite = np.isfinite(x[: sizes[-1]])
     first_bad = sizes[-1] if finite.all() else int(np.flatnonzero(~finite.all(axis=1))[0])
     del finite
-    refused: list[GbnError | None] = [None] * len(sizes)
-    for j, m in enumerate(sizes):
+
+    def first_cell(m):
+        # fit_detailed's own checks on data[:m], before any node.
         if m > first_bad:
-            refused[j] = InvalidParameter("samples contain NaN or infinite values")
-        elif m < 2:
-            refused[j] = InsufficientSamples(f"needs at least 2 rows, one per phase, got {m}")
-    errors = [list(refused) for _ in configs]
-    coeffs: list[list[list[np.ndarray]]] = [[[] for _ in sizes] for _ in configs]
-    for i in range(dag.n):
-        live = [[j for j, err in enumerate(errs) if err is None] for errs in errors]
+            return InvalidParameter("samples contain NaN or infinite values")
+        if m < 2:
+            return InsufficientSamples(f"needs at least 2 rows, one per phase, got {m}")
+        return []
+
+    # cells[c][j]: config c at size j, the node coefficients fitted so far
+    # or the error that stopped it.
+    cells = [[first_cell(m) for m in sizes] for _ in configs]
+    for i, pa in enumerate(dag.parents):
+        live = [[j for j, cell in enumerate(row) if isinstance(cell, list)] for row in cells]
         if not any(live):
             break
-        pa = dag.parents[i]
         if not pa:
-            for c, js in enumerate(live):
+            for row, js in zip(cells, live):
                 for j in js:
-                    coeffs[c][j].append(np.zeros(0))
+                    row[j].append(np.zeros(0))
             continue
         top = [sizes[js[-1]] // 2 if js else 0 for js in live]
         xb, yb = x[: max(top), pa], x[: max(top), i]
         square_top = max((t for t, config in zip(top, configs) if config.method in _SQUARE_METHODS), default=0)
         sols = _batch_solve_stack(xb[:square_top], yb[:square_top]) if square_top else None
-        for c, config in enumerate(configs):
-            if not live[c]:
+        for config, row, js in zip(configs, cells, live):
+            if not js:
                 continue
-            rows = [sizes[j] // 2 for j in live[c]]
-            kernel = _METHOD_TABLE[config.method]
-            try:
-                estimates = kernel(xb[: rows[-1]], yb[: rows[-1]], config.batch_extra, rows, sols)
-            except GbnError as exc:
-                estimates = [exc] * len(rows)
-            for j, est in zip(live[c], estimates):
+            rows = [sizes[j] // 2 for j in js]
+            estimates = _METHOD_TABLE[config.method](xb[: rows[-1]], yb[: rows[-1]], config.batch_extra, rows, sols)
+            for j, est in zip(js, estimates):
                 if isinstance(est, GbnError):
-                    errors[c][j] = type(est)(f"node {i}: method {config.method}: {est}")
-                    errors[c][j].__cause__ = est
+                    row[j] = type(est)(f"node {i}: method {config.method}: {est}")
+                    row[j].__cause__ = est
                 elif not np.isfinite(est).all():
-                    errors[c][j] = NumericalError(f"node {i}: method {config.method}: coefficient estimate is not finite")
+                    row[j] = NumericalError(f"node {i}: method {config.method}: coefficient estimate is not finite")
                 else:
-                    coeffs[c][j].append(est)
+                    row[j].append(est)
     out: list[list] = []
-    for config, errs, config_coeffs in zip(configs, errors, coeffs):
+    for config, row in zip(configs, cells):
         fits: list = []
-        for m, err, node_coeffs in zip(sizes, errs, config_coeffs):
-            if err is None:
-                fits.append(_variance_phase(dag, x[m // 2 : m], node_coeffs, config.variance_method))
-            elif isinstance(err, NumericalError):
-                fits.append(err)
+        for m, cell in zip(sizes, row):
+            if isinstance(cell, list):
+                fits.append(_variance_phase(dag, x[m // 2 : m], cell, config.variance_method))
+            elif isinstance(cell, NumericalError):
+                fits.append(cell)
             else:
-                raise err
+                raise cell
         out.append(fits)
     return out
 

@@ -122,6 +122,37 @@ class TestLeastSquares:
             least_squares_node(np.ones((3, 1)), np.ones(4))
 
 
+# A direct kernel call checks its own input; only fit_prefixes' private
+# prefix mode skips the checks. Each kernel's class also tests NaN and +-inf.
+_ONE_SHOT_KERNELS = pytest.mark.parametrize(
+    "kernel",
+    [
+        least_squares_node,
+        lambda x, y: batch_least_squares(x, y, 3, "mean"),
+        cauchy_est_tree_node,
+        cauchy_est_node,
+    ],
+    ids=["least_squares_node", "batch_least_squares", "cauchy_est_tree_node", "cauchy_est_node"],
+)
+
+
+@_ONE_SHOT_KERNELS
+@pytest.mark.parametrize(
+    "x, y",
+    [(np.ones((6, 2)), np.ones(5)), (np.ones(6), np.ones(6)), (np.ones((6, 2)), np.ones((6, 1)))],
+    ids=["short_target", "1d_block", "2d_target"],
+)
+def test_one_shot_call_refuses_mismatched_shapes(kernel, x, y):
+    with pytest.raises(InvalidParameter, match=r"^incompatible shapes "):
+        kernel(x, y)
+
+
+@_ONE_SHOT_KERNELS
+def test_one_shot_call_refuses_a_block_without_parents(kernel):
+    with pytest.raises(InvalidParameter, match="^node must have at least one parent$"):
+        kernel(np.ones((6, 0)), np.ones(6))
+
+
 class TestBatchLeastSquares:
     def test_single_batch_bit_identical_to_plain(self):
         rng = np.random.default_rng(2)
@@ -1172,9 +1203,61 @@ class TestFitPrefixes:
         for kernel in (cauchy_est_tree_node, cauchy_est_node):
             for r in (4, 30, 61, 90):
                 alone = kernel(x[:r], y[:r])
-                assert _bits(kernel(x[:r], y[:r], solutions=sols)).tolist() == _bits(alone).tolist()
-            with pytest.raises(InvalidParameter, match=r"^need at least 30 solutions of 3 coefficients, got shape \(29, 3\)$"):
-                kernel(x, y, solutions=sols[:29])
+                assert _bits(kernel(x[:r], y[:r], _solutions=sols)).tolist() == _bits(alone).tolist()
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            lambda x, y, **prefix: batch_least_squares(x, y, 5, "mean", **prefix),
+            lambda x, y, **prefix: batch_least_squares(x, y, 5, "median", **prefix),
+            cauchy_est_tree_node,
+            cauchy_est_node,
+        ],
+        ids=["batch_avg", "batch_med", "cauchy_est_tree_node", "cauchy_est_node"],
+    )
+    def test_prefix_mode_matches_the_one_shot_calls(self, kernel):
+        # One entry per row count: the one-shot estimate of those rows, bit
+        # for bit, or the error that call raises (r = 2 is too few rows for
+        # every kernel here). The Cauchy kernels get the whole block's
+        # square solutions, as fit_prefixes passes them.
+        rng = np.random.default_rng(47)
+        x, y = rng.normal(size=(90, 3)), rng.normal(size=90)
+        rows = [2, 4, 30, 61, 90]
+        prefix = {"_rows": rows}
+        if kernel in (cauchy_est_tree_node, cauchy_est_node):
+            prefix["_solutions"] = _batch_solve_stack(x, y)
+        got = kernel(x, y, **prefix)
+        assert len(got) == len(rows)
+        for r, est in zip(rows, got):
+            try:
+                alone = kernel(x[:r], y[:r])
+            except GbnError as exc:
+                assert type(est) is type(exc) and str(est) == str(exc)
+                continue
+            assert _bits(est).tolist() == _bits(alone).tolist()
+
+    def test_node_arrays_runs_only_for_least_squares(self, monkeypatch):
+        # The kernels' prefix mode relies on fit_prefixes' own checks: only
+        # least_squares_node, which has no prefix mode, scans its block, once
+        # per call.
+        rng = np.random.default_rng(48)
+        dag = random_er_dag(20, 2, rng)
+        data = sample(random_gbn(dag, (1.0, 2.0), UnitVariances(), rng), 400, rng)
+        counts = {"_node_arrays": 0, "least_squares_node": 0}
+        for name in counts:
+            original = getattr(estimators, name)
+
+            def counting(*args, _name=name, _original=original):
+                counts[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(estimators, name, counting)
+        configs = [FitConfig(method=method, batch_extra=5) for method in METHODS]
+        got = fit_prefixes(dag, data, configs, (100, 250, 400))
+        assert all(isinstance(f, FitOutcome) for fits in got for f in fits)
+        with_parents = sum(1 for pa in dag.parents if pa)
+        assert counts["least_squares_node"] == 3 * with_parents > 0
+        assert counts["_node_arrays"] == counts["least_squares_node"]
 
     def _two_parent_data(self, n_rows, seed=61):
         dag = build_dag(3, [(0, 2), (1, 2)])
@@ -1253,21 +1336,6 @@ class TestFitPrefixes:
         assert type(got[0]) is NumericalError
         assert str(got[0]) == f"node 2: method {method}: coefficient estimate is not finite"
         assert isinstance(got[1], NumericalError if method in ("batch_avg", "cauchy_est") else FitOutcome)
-
-    @pytest.mark.parametrize(
-        "kernel",
-        [
-            lambda x, y, rows: batch_least_squares(x, y, 4, "mean", rows),
-            cauchy_est_tree_node,
-            cauchy_est_node,
-        ],
-        ids=["batch_least_squares", "cauchy_est_tree_node", "cauchy_est_node"],
-    )
-    @pytest.mark.parametrize("rows", [[-1], [41]], ids=["below_zero", "above_m"])
-    def test_kernels_refuse_prefix_counts_outside_the_rows(self, kernel, rows):
-        x, y = _block_with(1.0, "parents")
-        with pytest.raises(InvalidParameter, match=r"^prefix row counts must lie in \[0, 40\], got "):
-            kernel(x, y, rows=rows)
 
     @pytest.mark.parametrize("sizes", [(), (10, 10), (20, 10), (-1, 10), (10, 101)])
     def test_sizes_must_increase_within_the_rows(self, sizes):
